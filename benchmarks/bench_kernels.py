@@ -1,10 +1,14 @@
 """Kernel micro-benchmarks: vectorized formulation vs retained reference loop.
 
-Each test times one vectorized fleet/edge kernel against the private
-``_reference_*`` Python loop it replaced, asserts they still agree
-bit-for-bit on the benchmarked workload, and records the speedup for the
-``--json`` document (see ``conftest.record_measurement``).  Workloads are
-sized to take milliseconds, so the suite doubles as the CI smoke job.
+Each test times one vectorized kernel against the Python loop it replaced
+(a private ``_reference_*`` function, or :mod:`repro.testing.reference`),
+asserts they still agree bit-for-bit on the benchmarked workload, and
+records the speedup for the ``--json`` document (see
+``conftest.record_measurement``).  Workloads are sized to take
+milliseconds, so the suite doubles as the CI smoke job.  The kernels that
+carry ``reproduce`` (the sample picker, BiasMF training, the Bayesian
+surrogate) also assert a speedup floor at about half the measured
+speedup, which holds under ``--benchmark-disable`` too.
 
 Run::
 
@@ -17,6 +21,8 @@ import time
 
 import numpy as np
 
+from repro.dataeff.recommenders import BiasMF
+from repro.dataeff.synthetic import LatentFactorWorld
 from repro.edge import async_fl
 from repro.edge.devices import DevicePopulation
 from repro.edge.selection import (
@@ -37,7 +43,19 @@ from repro.fleet.multitenancy import (
 )
 from repro.fleet.server import AI_TRAINING_SKU
 from repro.fleet.utilization import UtilizationDistribution
+from repro.optimization.nas import bayesian_search, default_response_surface
+from repro.testing.reference import (
+    ReferenceBiasMF,
+    reference_bayesian_search,
+    reference_sample,
+)
 from repro.workloads.growthtrends import GrowthTrend
+
+#: Speedup floors, about half of what each kernel measured against its
+#: reference on a 2-vCPU x86-64 host (about 7x, 2x and 4x).
+MIN_SPEEDUP_SAMPLE_PICKS = 3.0
+MIN_SPEEDUP_BIASMF_FIT = 1.0
+MIN_SPEEDUP_BAYESIAN_SEARCH = 1.8
 
 
 def _best_of(fn, repeats: int = 5) -> float:
@@ -50,15 +68,18 @@ def _best_of(fn, repeats: int = 5) -> float:
     return best
 
 
-def _record_pair(record, name: str, fast_fn, slow_fn) -> None:
+def _record_pair(record, name: str, fast_fn, slow_fn) -> float:
+    """Time both paths, record the row and return the speedup."""
     fast_s = _best_of(fast_fn)
     slow_s = _best_of(slow_fn)
+    speedup = slow_s / fast_s if fast_s > 0 else float("inf")
     record(
         f"kernel:{name}",
         vectorized_s=fast_s,
         reference_s=slow_s,
-        speedup=slow_s / fast_s if fast_s > 0 else float("inf"),
+        speedup=speedup,
     )
+    return speedup
 
 
 class TestClusterKernels:
@@ -183,3 +204,53 @@ class TestEdgeKernels:
             lambda: population.straggler_slowdown(40, 7),
             lambda: population._reference_straggler_slowdown(40, 7),
         )
+
+
+class TestReproduceKernels:
+    def test_sample_picks(self, record):
+        # One of text-halflife's snapshots, without the substrate memo.
+        sample = LatentFactorWorld.sample.__wrapped__
+        world = LatentFactorWorld(n_users=600, n_items=400, drift_per_year=0.55, seed=0)
+        args = (world, 20_000, 0.25, 3.0, 2)
+        fast, slow = sample(*args), reference_sample(*args)
+        assert np.array_equal(fast.users, slow.users)
+        assert np.array_equal(fast.items, slow.items)
+        assert np.array_equal(fast.timestamps, slow.timestamps)
+        speedup = _record_pair(
+            record,
+            "sample_picks",
+            lambda: sample(*args),
+            lambda: reference_sample(*args),
+        )
+        assert speedup >= MIN_SPEEDUP_SAMPLE_PICKS, f"sample picks {speedup:.2f}x"
+
+    def test_biasmf_fit(self, record):
+        world = LatentFactorWorld(n_users=600, n_items=400, drift_per_year=0.55, seed=0)
+        data = LatentFactorWorld.sample.__wrapped__(world, 20_000)
+        fast = BiasMF(n_epochs=2, seed=0).fit(data)
+        slow = ReferenceBiasMF(n_epochs=2, seed=0).fit(data)
+        assert np.array_equal(fast._U, slow._U)
+        assert np.array_equal(fast._V, slow._V)
+        assert np.array_equal(fast._bi, slow._bi)
+        speedup = _record_pair(
+            record,
+            "biasmf_fit",
+            lambda: BiasMF(n_epochs=2, seed=0).fit(data),
+            lambda: ReferenceBiasMF(n_epochs=2, seed=0).fit(data),
+        )
+        assert speedup >= MIN_SPEEDUP_BIASMF_FIT, f"BiasMF fit {speedup:.2f}x"
+
+    def test_bayesian_search(self, record):
+        args = (default_response_surface, 3, 150)
+        fast = bayesian_search(*args, seed=0)
+        slow = reference_bayesian_search(*args, seed=0)
+        assert np.array_equal(fast.history, slow.history)
+        assert np.array_equal(fast.best_x, slow.best_x)
+        assert fast.best_value == slow.best_value
+        speedup = _record_pair(
+            record,
+            "bayesian_search",
+            lambda: bayesian_search(*args, seed=0),
+            lambda: reference_bayesian_search(*args, seed=0),
+        )
+        assert speedup >= MIN_SPEEDUP_BAYESIAN_SEARCH, f"bayesian search {speedup:.2f}x"

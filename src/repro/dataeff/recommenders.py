@@ -85,6 +85,24 @@ class ItemKNN(Recommender):
         return self._sim[np.ix_(np.asarray(items, dtype=int), history)].sum(axis=1)
 
 
+def _scatter_add_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(matrix, rows, values)`` on a C-contiguous 2-D ``matrix``, bit-exactly.
+
+    numpy's fast ``add.at`` path takes a 1-D operand and a 1-D index, so the
+    rows are scattered into a flat view of ``matrix`` at
+    ``rows[:, None] * width + arange(width)``.  Elements are still visited in
+    batch order, so each receives the same adds in the same sequence as the
+    2-D call.  Assigning ``.shape`` raises when ``matrix`` has no flat view
+    (Fortran order, column slices); ``reshape(-1)`` would silently copy it
+    and drop every update.
+    """
+    flat = matrix.view()
+    flat.shape = (-1,)
+    width = matrix.shape[1]
+    index = rows[:, None] * width + np.arange(width)
+    np.add.at(flat, index.ravel(), values.ravel())
+
+
 @dataclass
 class BiasMF(Recommender):
     """Logistic matrix factorization with SGD and negative sampling."""
@@ -142,8 +160,8 @@ class BiasMF(Recommender):
         grad_u = err * v_vec - self.reg * u_vec
         grad_v = err * u_vec - self.reg * v_vec
         # Scatter-add handles duplicate users/items within a batch.
-        np.add.at(U, users, self.lr * grad_u)
-        np.add.at(V, items, self.lr * grad_v)
+        _scatter_add_rows(U, users, self.lr * grad_u)
+        _scatter_add_rows(V, items, self.lr * grad_v)
         np.add.at(bi, items, self.lr * (err[:, 0] - self.reg * bi[items]))
 
     def score(self, user: int, items: np.ndarray) -> np.ndarray:

@@ -27,6 +27,9 @@ from repro.errors import UnitError
 #: Strubell et al.'s evolved-transformer NAS overhead vs one training run.
 GRID_SEARCH_OVERHEAD = 3000.0
 
+#: Axis length from which ``np.sum`` stops adding left to right.
+_PAIRWISE_SUM_MIN_TERMS = 8
+
 
 @dataclass(frozen=True, slots=True)
 class SearchCost:
@@ -115,32 +118,52 @@ def bayesian_search(
     acquisition.  Deliberately simple — the point is sample efficiency
     relative to random/grid, not SOTA BO.
     """
+    if n_dims <= 0:
+        raise UnitError("dimensions must be positive")
+    if n_init <= 0 or n_candidates <= 0:
+        raise UnitError("initial samples and candidates must be positive")
+    if not lengthscale > 0:
+        raise UnitError("kernel lengthscale must be positive")
     if n_trials <= n_init:
         raise UnitError("need more trials than initial samples")
     rng = np.random.default_rng(seed)
-    xs = list(rng.uniform(0.0, 1.0, size=(n_init, n_dims)))
-    ys = [objective(x) for x in xs]
+    X = np.empty((n_trials, n_dims))
+    y = np.empty(n_trials)
+    X[:n_init] = rng.uniform(0.0, 1.0, size=(n_init, n_dims))
+    for i in range(n_init):
+        y[i] = objective(X[i])
 
-    for _ in range(n_trials - n_init):
-        X = np.vstack(xs)
-        y = np.array(ys)
+    for i in range(n_init, n_trials):
+        seen, y_seen = X[:i], y[:i]
         candidates = rng.uniform(0.0, 1.0, size=(n_candidates, n_dims))
-        d2 = np.sum((candidates[:, None, :] - X[None, :, :]) ** 2, axis=2)
+        d2 = _squared_distances(candidates, seen)
         weights = np.exp(-d2 / (2.0 * lengthscale**2))
         mass = weights.sum(axis=1)
-        mu = np.where(mass > 1e-12, weights @ y / np.maximum(mass, 1e-12), y.mean())
+        mu = np.where(mass > 1e-12, weights @ y_seen / np.maximum(mass, 1e-12), y_seen.mean())
         sigma = 1.0 / np.sqrt(1.0 + mass)
-        acquisition = mu - explore * sigma * y.std()
-        pick = candidates[int(np.argmin(acquisition))]
-        xs.append(pick)
-        ys.append(objective(pick))
+        acquisition = mu - explore * sigma * y_seen.std()
+        X[i] = candidates[int(np.argmin(acquisition))]
+        y[i] = objective(X[i])
 
-    values = np.array(ys)
-    history = np.minimum.accumulate(values)
-    best = int(np.argmin(values))
-    return SearchOutcome(
-        "bayesian", float(values[best]), np.vstack(xs)[best], n_trials, history
-    )
+    history = np.minimum.accumulate(y)
+    best = int(np.argmin(y))
+    return SearchOutcome("bayesian", float(y[best]), X[best], n_trials, history)
+
+
+def _squared_distances(candidates: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """``np.sum((candidates[:, None] - seen[None]) ** 2, axis=2)``, bit-exactly.
+
+    Over fewer than 8 terms numpy's sum adds left to right, so a running sum
+    over the dimensions gives the same bits without the 3-D tensor; from 8
+    terms on numpy switches to an unrolled pairwise sum, so the tensor stays.
+    """
+    n_dims = candidates.shape[1]
+    if n_dims >= _PAIRWISE_SUM_MIN_TERMS:
+        return np.sum((candidates[:, None, :] - seen[None, :, :]) ** 2, axis=2)
+    d2 = (candidates[:, :1] - seen[:, 0]) ** 2
+    for k in range(1, n_dims):
+        d2 += (candidates[:, k : k + 1] - seen[:, k]) ** 2
+    return d2
 
 
 def trials_to_reach(outcome: SearchOutcome, threshold: float) -> int | None:

@@ -59,6 +59,12 @@ class TestSyntheticWorld:
         with pytest.raises(UnitError):
             DATA.subset(np.ones(3, dtype=bool))
 
+    @pytest.mark.parametrize("seed_offset", [-1, -2, -7919])
+    def test_negative_seed_offset_rejected(self, seed_offset):
+        # -1 would replay the factor stream; -2 and below are invalid seeds.
+        with pytest.raises(UnitError):
+            WORLD.sample(100, seed_offset=seed_offset)
+
     def test_time_offset_shifts_timestamps(self):
         shifted = WORLD.sample(100, time_offset_years=2.0, seed_offset=1)
         assert shifted.timestamps.min() >= 2.0

@@ -178,3 +178,24 @@ class TestNAS:
     def test_bayesian_needs_trials(self):
         with pytest.raises(UnitError):
             bayesian_search(default_response_surface, 2, n_trials=4, n_init=8)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_dims": 0},
+            {"n_dims": -1},
+            {"n_init": 0},
+            {"n_init": -3},
+            {"n_candidates": 0},
+            {"n_candidates": -1},
+            {"lengthscale": 0.0},
+            {"lengthscale": -0.2},
+            {"lengthscale": float("nan")},
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_bayesian_rejects_out_of_range_settings(self, overrides):
+        kwargs = {"n_dims": 2, "n_trials": 12, "n_init": 4, "n_candidates": 16}
+        kwargs.update(overrides)
+        with pytest.raises(UnitError):
+            bayesian_search(default_response_surface, **kwargs)
