@@ -62,6 +62,11 @@ class AmortizationPolicy:
             raise UnitError(
                 f"utilization must be in (0, 1], got {self.average_utilization}"
             )
+        if self.utilized_hours == 0.0:  # both positive, but the product underflowed
+            raise UnitError(
+                f"lifetime {self.lifetime_years} years at utilization "
+                f"{self.average_utilization} leaves no utilized hours"
+            )
         if self.devices_per_server <= 0:
             raise UnitError(
                 f"devices per server must be positive, got {self.devices_per_server}"

@@ -167,20 +167,28 @@ def _run_round_pool(
     ``timeout`` bounds how long we wait on each experiment's future once
     it is this experiment's turn to be collected.  A broken pool charges
     the attempt to the experiment being awaited when the break surfaced
-    (the most likely culprit); collateral unresolved experiments are
-    resubmitted without consuming their retry budget.
+    (the most likely culprit); collateral unresolved experiments, and
+    those the break left unsubmitted, are resubmitted without consuming
+    their retry budget.
     """
     needs_retry: list[str] = []
     timed_out = False
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
     try:
-        futures = {
-            exp_id: pool.submit(_execute, exp_id, attempts[exp_id], True, profile)
-            for exp_id in pending
-        }
+        futures = {}
+        for exp_id in pending:
+            try:
+                futures[exp_id] = pool.submit(_execute, exp_id, attempts[exp_id], True, profile)
+            except BrokenProcessPool:
+                # A worker died before the last submit.  The first submit
+                # to a new pool cannot fail, so every round collects one.
+                break
         broken = False
         for exp_id in pending:
-            future = futures[exp_id]
+            future = futures.get(exp_id)
+            if future is None:
+                needs_retry.append(exp_id)  # unsubmitted: no attempt spent
+                continue
             if broken:
                 # The pool died while an earlier future was being awaited.
                 # Salvage anything that finished; everything else retries

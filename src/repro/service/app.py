@@ -73,7 +73,6 @@ from repro.experiments import profiling
 from repro.service import queries
 from repro.service.streams import (
     DEFAULT_MAX_STREAMS,
-    DEFAULT_STREAM_MAX_TICKS,
     DEFAULT_STREAM_MAX_WAIT_S,
     DEFAULT_STREAM_TICK_HZ,
     StreamManager,
@@ -81,7 +80,7 @@ from repro.service.streams import (
 from repro.service.sweeps import DEFAULT_MAX_SWEEPS, SweepManager
 from repro.service.batching import QueryBatcher
 from repro.service.cache import ResponseCache
-from repro.service.http import HttpServer, Request, Response
+from repro.service.http import HttpServer, ProtocolError, Request, Response
 from repro.telemetry.counters import ServiceCounters
 
 #: Service defaults, shared by the CLI flags and :class:`ServiceConfig`.
@@ -453,7 +452,20 @@ class CarbonQueryService:
 
     async def handle(self, request: Request) -> Response:
         start = time.perf_counter()
-        endpoint, response, cache_state = await self._route(request)
+        try:
+            endpoint, response, cache_state = await self._route(request)
+        except Exception as exc:
+            # Answer every request: a dropped connection reads as a dead
+            # replica to the fabric router, which would eject this node.
+            # The traceback goes to the event loop's exception handler
+            # (the ``asyncio`` logger).
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": f"error answering {request.method} {request.path}", "exception": exc}
+            )
+            endpoint, cache_state = "(internal-error)", None
+            response = Response(
+                500, _error_body("internal-error", f"{type(exc).__name__}: {exc}")
+            )
         elapsed = time.perf_counter() - start
         self.counters.record(endpoint, response.status, elapsed, cache_state)
         return response
@@ -502,17 +514,7 @@ class CarbonQueryService:
                 )
             return await self._query_endpoint("/experiments/{id}", query)
         if path == "/footprint" and method in ("GET", "POST"):
-            from repro.service.http import ProtocolError
-
-            # A 'workload' parameter selects the genai scenario queries;
-            # a malformed body falls through to the scalar parser, whose
-            # error path turns it into the usual 400.
-            try:
-                genai = "workload" in self._merge_params(request)
-            except ProtocolError:
-                genai = False
-            kind = "genai" if genai else "footprint"
-            return await self._parse_and_answer("/footprint", kind, request)
+            return await self._parse_and_answer("/footprint", "footprint", request)
         if path == "/schedule/carbon-aware" and method in ("GET", "POST"):
             return await self._parse_and_answer("/schedule/carbon-aware", "schedule", request)
         if path == "/stream" and method == "GET":
@@ -570,8 +572,6 @@ class CarbonQueryService:
 
     def _submit_sweep(self, request: Request) -> tuple[str, Response, str | None]:
         """``POST /sweep``: parse, admit, start (or rejoin) the job."""
-        from repro.service.http import ProtocolError
-
         if self._draining:
             return (
                 "/sweep",
@@ -668,9 +668,6 @@ class CarbonQueryService:
         spec is parsed — the spec alone is the stream's identity (and
         its fabric routing key).
         """
-        from repro.service.http import ProtocolError
-        from repro.service.streams import DEFAULT_STREAM_MAX_TICKS
-
         endpoint = "/stream"
         if self._draining:
             return (
@@ -682,28 +679,11 @@ class CarbonQueryService:
                 None,
             )
         try:
-            params = self._merge_params(request)
-            cursor = queries._as_int("cursor", params.pop("cursor", 0))
-            if cursor < 0:
-                raise QueryError(f"parameter 'cursor' must be >= 0, got {cursor}")
-            wait_s = queries._as_float("wait_s", params.pop("wait_s", 0.0))
-            if wait_s < 0:
-                raise QueryError(f"parameter 'wait_s' must be >= 0, got {wait_s}")
-            max_ticks = queries._as_int(
-                "max_ticks", params.pop("max_ticks", DEFAULT_STREAM_MAX_TICKS)
-            )
-            if not (1 <= max_ticks <= 20_000):
-                raise QueryError(
-                    f"parameter 'max_ticks' must be in [1, 20000], got {max_ticks}"
-                )
-            query = queries.parse_query("stream", params)
+            query, transport = queries.parse_stream_request(self._merge_params(request))
         except (ProtocolError, QueryError) as exc:
             return endpoint, Response(400, _error_body("bad-request", str(exc))), None
-        assert isinstance(query, queries.StreamQuery)
         try:
-            response = await self.streams.poll(
-                query, cursor, wait_s, max_ticks, draining=self._stop_event
-            )
+            response = await self.streams.poll(query, **transport, draining=self._stop_event)
         except InvariantViolation as exc:
             return endpoint, Response(500, _error_body("invariant-violation", str(exc))), None
         except SustainableAIError as exc:
@@ -764,14 +744,12 @@ class CarbonQueryService:
     async def _parse_and_answer(
         self, endpoint: str, kind: str, request: Request
     ) -> tuple[str, Response, str | None]:
-        from repro.service.http import ProtocolError
-
         try:
             params = self._merge_params(request)
+            if kind == "footprint" and "workload" in params:
+                kind = "genai"  # a 'workload' selects the genai scenario queries
             query = queries.parse_query(kind, params)
-        except ProtocolError as exc:
-            return endpoint, Response(400, _error_body("bad-request", str(exc))), None
-        except QueryError as exc:
+        except (ProtocolError, QueryError) as exc:
             return endpoint, Response(400, _error_body("bad-request", str(exc))), None
         return await self._query_endpoint(endpoint, query)
 

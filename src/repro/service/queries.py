@@ -14,6 +14,10 @@ a validated, *normalized* bundle of parameters with
   service, the conformance tests, and any direct library caller —
   this is what makes service responses *byte-identical* to direct calls.
 
+The numeric parameters of each query kind are declared once, as a table
+of :class:`Knob` rows (:data:`KNOBS`); one loop (:func:`_read_knobs`)
+coerces, range-checks and defaults them for every parser.
+
 Queries travel to pool workers as ``(kind, params_json)`` pairs and are
 re-parsed there (:func:`execute_query_task`), so the worker boundary only
 ever carries plain strings and dicts.  The task body fires the
@@ -27,30 +31,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from repro.carbon.intensity import CarbonIntensity, intensity_for_region, regions
+from repro.carbon.intensity import US_AVERAGE, CarbonIntensity, intensity_for_region, regions
+from repro.carbon.stream import StreamSpec
 from repro.core.canonical import canonical_bytes, compact_dumps
 from repro.errors import QueryError, UnitError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sweep import SweepSpec
 
-#: Query kinds, in routing order (kind -> parser).
-QUERY_KINDS: tuple[str, ...] = (
-    "experiment",
-    "footprint",
-    "genai",
-    "schedule",
-    "sweep",
-    "stream",
-)
-
 #: Bounds keeping a single query's work bounded (the service answers
 #: interactive traffic; year-scale sweeps belong to the CLI runner).
 MAX_JOBS = 500
 MAX_HORIZON_HOURS = 8784
 MAX_BUSY_DEVICE_HOURS = 1e12
+
+#: Longest LLM training run the service prices, in wall-clock hours
+#: (about 228 years).  A training query spreads its energy over an hourly
+#: series this long, so the cap bounds that series at 16 MB of float64.
+MAX_TRAINING_HOURS = 2_000_000
 
 #: Service-side cap on one sweep's point count — far below the library's
 #: :data:`repro.core.sweep.MAX_SWEEP_POINTS`; larger sweeps belong to the
@@ -74,49 +74,100 @@ def render_payload(payload: Mapping[str, object]) -> bytes:
     return canonical_bytes(payload)
 
 
-# -- coercion helpers --------------------------------------------------------
+# -- knobs -------------------------------------------------------------------
 # GET requests deliver every parameter as a string; POST bodies deliver
-# JSON numbers.  The coercers accept both and reject everything else.
+# JSON numbers.  The coercion accepts both and rejects everything else.
 
 
-def _as_float(name: str, value: object) -> float:
+class Knob(NamedTuple):
+    """One numeric query parameter: its range, its default and its type.
+
+    A value must lie in ``[lo, hi]``, or in ``(lo, hi]`` when ``lo_open``;
+    an ``integer`` knob also rejects fractional values.  A knob left out
+    of a query takes ``default`` exactly as written (``None``: no
+    default), so every default is a constant of the knob's own type.
+    """
+
+    lo: float
+    hi: float
+    default: float | None
+    lo_open: bool = False
+    integer: bool = False
+
+
+def _as_number(name: str, value: object, integer: bool = False) -> float:
     if isinstance(value, bool):
         raise QueryError(f"parameter {name!r} must be a number, got a boolean")
-    if isinstance(value, (int, float)):
-        out = float(value)
-    elif isinstance(value, str):
+    if isinstance(value, (int, float, str)):
         try:
             out = float(value)
         except ValueError:
             raise QueryError(f"parameter {name!r} must be a number, got {value!r}") from None
+        except OverflowError:  # an integer beyond the float range
+            out = math.inf
     else:
         raise QueryError(f"parameter {name!r} must be a number, got {type(value).__name__}")
     if not math.isfinite(out):
         raise QueryError(f"parameter {name!r} must be finite, got {out!r}")
+    if integer:
+        if out != int(out):
+            raise QueryError(f"parameter {name!r} must be an integer, got {out!r}")
+        return int(out)
     return out
 
 
-def _as_int(name: str, value: object) -> int:
-    out = _as_float(name, value)
-    if out != int(out):
-        raise QueryError(f"parameter {name!r} must be an integer, got {out!r}")
-    return int(out)
+def _read_knobs(params: Mapping[str, object], table: Mapping[str, Knob]) -> dict[str, object]:
+    """Every knob of ``table``, coerced and range-checked, or its default."""
+    values: dict[str, object] = {}
+    for name, (lo, hi, default, lo_open, integer) in table.items():
+        if name not in params:
+            values[name] = default
+            continue
+        value = _as_number(name, params[name], integer)
+        if value < lo or value > hi or (lo_open and value == lo):
+            bracket = "(" if lo_open else "["
+            raise QueryError(f"parameter {name!r} must be in {bracket}{lo}, {hi}], got {value}")
+        values[name] = value
+    return values
 
 
-def _in_range(name: str, value: float, lo: float, hi: float, *, lo_open: bool = False) -> float:
-    if value < lo or value > hi or (lo_open and value == lo):
-        bracket = "(" if lo_open else "["
-        raise QueryError(f"parameter {name!r} must be in {bracket}{lo}, {hi}], got {value}")
-    return value
-
-
-def _reject_unknown(kind: str, params: Mapping[str, object], allowed: tuple[str, ...]) -> None:
-    unknown = sorted(set(params) - set(allowed))
+def _reject_unknown(kind: str, params: Mapping[str, object], allowed: Iterable[str]) -> None:
+    unknown = sorted(set(params).difference(allowed))
     if unknown:
         raise QueryError(
             f"unknown parameter(s) for {kind!r} query: {', '.join(unknown)}; "
             f"allowed: {', '.join(allowed)}"
         )
+
+
+#: Grid intensity, shared by footprint and genai queries.  ``region``
+#: names a reference intensity instead; with neither, the US average.
+_INTENSITY_KNOB = {"intensity_kg_per_kwh": Knob(0.0, 10.0, US_AVERAGE.kg_per_kwh)}
+_INTENSITY_PARAMS = ("intensity_kg_per_kwh", "region", "intensity_label")
+
+
+def _intensity(params: Mapping[str, object]) -> tuple[float, str]:
+    """``(kg per kWh, label)`` of the grid a footprint or genai query names."""
+    if "region" in params:
+        if "intensity_kg_per_kwh" in params:
+            raise QueryError("provide either 'intensity_kg_per_kwh' or 'region', not both")
+        region = params["region"]
+        if not isinstance(region, str) or region not in regions():
+            raise QueryError(f"unknown region {region!r}; known: {', '.join(regions())}")
+        intensity = intensity_for_region(region)
+        return intensity.kg_per_kwh, intensity.label
+    kg_per_kwh = _read_knobs(params, _INTENSITY_KNOB)["intensity_kg_per_kwh"]
+    if "intensity_kg_per_kwh" in params:
+        return kg_per_kwh, str(params.get("intensity_label", "custom"))
+    return kg_per_kwh, US_AVERAGE.label
+
+
+#: Scenario knobs shared by footprint and genai queries.
+_SCENARIO_KNOBS = {
+    "utilization": Knob(0.0, 1.0, 0.45, lo_open=True),
+    "pue": Knob(1.0, 10.0, 1.10),
+    "lifetime_years": Knob(0.0, 100.0, 4.0, lo_open=True),
+}
 
 
 @dataclass(frozen=True)
@@ -126,7 +177,8 @@ class Query:
     kind = "abstract"
 
     def to_params(self) -> dict[str, object]:
-        raise NotImplementedError
+        """The normalized parameters: by default, every field."""
+        return self.__dict__.copy()
 
     def execute(self) -> dict[str, object]:
         raise NotImplementedError
@@ -152,9 +204,6 @@ class ExperimentQuery(Query):
     experiment_id: str
 
     kind = "experiment"
-
-    def to_params(self) -> dict[str, object]:
-        return {"experiment_id": self.experiment_id}
 
     def fault_target(self) -> str:
         return self.experiment_id
@@ -185,17 +234,14 @@ def parse_experiment(params: Mapping[str, object]) -> ExperimentQuery:
 # /footprint
 # ---------------------------------------------------------------------------
 
-_FOOTPRINT_PARAMS: tuple[str, ...] = (
-    "busy_device_hours",
-    "utilization",
-    "pue",
-    "lifetime_years",
-    "intensity_kg_per_kwh",
-    "region",
-    "devices_per_server",
-    "board_power_fraction",
-    "infrastructure_factor",
-)
+_FOOTPRINT_KNOBS: dict[str, Knob] = {
+    "busy_device_hours": Knob(0.0, MAX_BUSY_DEVICE_HOURS, None),  # required
+    **_SCENARIO_KNOBS,
+    "board_power_fraction": Knob(0.0, 1.0, 0.95, lo_open=True),
+    "infrastructure_factor": Knob(1.0, 100.0, 3.0),
+    "devices_per_server": Knob(1, 1024, 2, integer=True),
+}
+_FOOTPRINT_PARAMS = (*_FOOTPRINT_KNOBS, *_INTENSITY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -219,19 +265,6 @@ class FootprintQuery(Query):
     infrastructure_factor: float
 
     kind = "footprint"
-
-    def to_params(self) -> dict[str, object]:
-        return {
-            "busy_device_hours": self.busy_device_hours,
-            "utilization": self.utilization,
-            "pue": self.pue,
-            "lifetime_years": self.lifetime_years,
-            "intensity_kg_per_kwh": self.intensity_kg_per_kwh,
-            "intensity_label": self.intensity_label,
-            "devices_per_server": self.devices_per_server,
-            "board_power_fraction": self.board_power_fraction,
-            "infrastructure_factor": self.infrastructure_factor,
-        }
 
     def execute(self) -> dict[str, object]:
         from repro.core.scenario import Scenario, evaluate_work
@@ -265,107 +298,46 @@ class FootprintQuery(Query):
 
 def parse_footprint(params: Mapping[str, object]) -> FootprintQuery:
     """Validate ``footprint`` query parameters into a :class:`FootprintQuery`."""
-    _reject_unknown("footprint", params, _FOOTPRINT_PARAMS + ("intensity_label",))
+    _reject_unknown("footprint", params, _FOOTPRINT_PARAMS)
     if "busy_device_hours" not in params:
         raise QueryError("footprint query requires 'busy_device_hours'")
-    busy = _in_range(
-        "busy_device_hours",
-        _as_float("busy_device_hours", params["busy_device_hours"]),
-        0.0,
-        MAX_BUSY_DEVICE_HOURS,
-    )
-    utilization = _in_range(
-        "utilization", _as_float("utilization", params.get("utilization", 0.45)), 0.0, 1.0,
-        lo_open=True,
-    )
-    pue = _in_range("pue", _as_float("pue", params.get("pue", 1.10)), 1.0, 10.0)
-    lifetime = _in_range(
-        "lifetime_years",
-        _as_float("lifetime_years", params.get("lifetime_years", 4.0)),
-        0.0,
-        100.0,
-        lo_open=True,
-    )
-    board = _in_range(
-        "board_power_fraction",
-        _as_float("board_power_fraction", params.get("board_power_fraction", 0.95)),
-        0.0,
-        1.0,
-        lo_open=True,
-    )
-    infra = _in_range(
-        "infrastructure_factor",
-        _as_float("infrastructure_factor", params.get("infrastructure_factor", 3.0)),
-        1.0,
-        100.0,
-    )
-    devices = _as_int("devices_per_server", params.get("devices_per_server", 2))
-    if not (1 <= devices <= 1024):
-        raise QueryError(f"parameter 'devices_per_server' must be in [1, 1024], got {devices}")
-
-    if "intensity_kg_per_kwh" in params and "region" in params:
-        raise QueryError("provide either 'intensity_kg_per_kwh' or 'region', not both")
-    if "region" in params:
-        region = params["region"]
-        if not isinstance(region, str) or region not in regions():
-            raise QueryError(
-                f"unknown region {region!r}; known: {', '.join(regions())}"
-            )
-        intensity = intensity_for_region(region)
-        kg_per_kwh, label = intensity.kg_per_kwh, intensity.label
-    elif "intensity_kg_per_kwh" in params:
-        kg_per_kwh = _in_range(
-            "intensity_kg_per_kwh",
-            _as_float("intensity_kg_per_kwh", params["intensity_kg_per_kwh"]),
-            0.0,
-            10.0,
-        )
-        label = str(params.get("intensity_label", "custom"))
-    else:
-        from repro.carbon.intensity import US_AVERAGE
-
-        kg_per_kwh, label = US_AVERAGE.kg_per_kwh, US_AVERAGE.label
-    return FootprintQuery(
-        busy_device_hours=busy,
-        utilization=utilization,
-        pue=pue,
-        lifetime_years=lifetime,
-        intensity_kg_per_kwh=kg_per_kwh,
-        intensity_label=label,
-        devices_per_server=devices,
-        board_power_fraction=board,
-        infrastructure_factor=infra,
-    )
+    knobs = _read_knobs(params, _FOOTPRINT_KNOBS)
+    kg_per_kwh, label = _intensity(params)
+    return FootprintQuery(intensity_kg_per_kwh=kg_per_kwh, intensity_label=label, **knobs)
 
 
 # ---------------------------------------------------------------------------
 # /footprint with workload= : GenAI training / serving scenarios
 # ---------------------------------------------------------------------------
 
-_GENAI_WORKLOADS: tuple[str, ...] = ("llm-training", "llm-serving")
+#: The knobs a ``model`` inventory name stands for (training only).
+_MODEL_KNOBS = ("n_params", "n_tokens", "mfu", "n_accelerators")
 
-_GENAI_PARAMS: tuple[str, ...] = (
-    "workload",
-    "model",
-    "accelerator",
-    "n_params",
-    "n_tokens",
-    "mfu",
-    "n_accelerators",
-    "peak_qps",
-    "tokens_per_request",
-    "context_tokens",
-    "batch_size",
-    "hours",
-    "trough_fraction",
-    "demand_seed",
-    "utilization",
-    "pue",
-    "lifetime_years",
-    "devices_per_server",
-    "intensity_kg_per_kwh",
-    "region",
-)
+_GENAI_KNOBS: dict[str, Knob] = {
+    "n_params": Knob(0.0, 1e13, 7.0e9, lo_open=True),
+    "n_tokens": Knob(0.0, 1e15, 1.4e11, lo_open=True),
+    "mfu": Knob(0.0, 0.95, 0.40, lo_open=True),
+    "n_accelerators": Knob(1, 65536, 512, integer=True),
+    "peak_qps": Knob(0.0, 1e6, 100.0, lo_open=True),
+    "tokens_per_request": Knob(0.0, 1e5, 256.0, lo_open=True),
+    "context_tokens": Knob(0.0, 32768.0, 1024.0, lo_open=True),
+    "batch_size": Knob(1, 512, 16, integer=True),
+    "hours": Knob(1, MAX_HORIZON_HOURS, 168, integer=True),
+    "trough_fraction": Knob(0.05, 0.95, 0.68),
+    "demand_seed": Knob(0, 2**32 - 1, 0, integer=True),
+    **_SCENARIO_KNOBS,
+    "devices_per_server": Knob(1, 1024, 8, integer=True),
+}
+_GENAI_PARAMS = ("workload", "model", "accelerator", *_GENAI_KNOBS, *_INTENSITY_PARAMS)
+
+#: The knobs each workload ignores, left out of its cache key.
+_GENAI_UNKEYED: dict[str, frozenset[str]] = {
+    "llm-training": frozenset(
+        {"peak_qps", "tokens_per_request", "context_tokens", "batch_size", "hours",
+         "trough_fraction", "demand_seed"}
+    ),
+    "llm-serving": frozenset({"n_tokens", "mfu", "n_accelerators"}),
+}
 
 
 @dataclass(frozen=True)
@@ -403,33 +375,9 @@ class GenAIQuery(Query):
     kind = "genai"
 
     def to_params(self) -> dict[str, object]:
-        params: dict[str, object] = {
-            "workload": self.workload,
-            "accelerator": self.accelerator,
-            "n_params": self.n_params,
-            "utilization": self.utilization,
-            "pue": self.pue,
-            "lifetime_years": self.lifetime_years,
-            "devices_per_server": self.devices_per_server,
-            "intensity_kg_per_kwh": self.intensity_kg_per_kwh,
-            "intensity_label": self.intensity_label,
-        }
-        if self.workload == "llm-training":
-            params.update(
-                n_tokens=self.n_tokens,
-                mfu=self.mfu,
-                n_accelerators=self.n_accelerators,
-            )
-        else:
-            params.update(
-                peak_qps=self.peak_qps,
-                tokens_per_request=self.tokens_per_request,
-                context_tokens=self.context_tokens,
-                batch_size=self.batch_size,
-                hours=self.hours,
-                trough_fraction=self.trough_fraction,
-                demand_seed=self.demand_seed,
-            )
+        params = self.__dict__.copy()
+        for name in _GENAI_UNKEYED[self.workload]:
+            del params[name]
         return params
 
     def _spec(self):
@@ -506,26 +454,20 @@ class GenAIQuery(Query):
 
 def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
     """Validate ``genai`` query parameters into a :class:`GenAIQuery`."""
-    _reject_unknown("genai", params, _GENAI_PARAMS + ("intensity_label",))
+    _reject_unknown("genai", params, _GENAI_PARAMS)
     workload = params.get("workload")
-    if workload not in _GENAI_WORKLOADS:
+    if workload not in _GENAI_UNKEYED:
         raise QueryError(
-            f"parameter 'workload' must be one of {', '.join(_GENAI_WORKLOADS)}; "
+            f"parameter 'workload' must be one of {', '.join(_GENAI_UNKEYED)}; "
             f"got {workload!r}"
         )
 
-    spec_defaults: dict[str, float] = {
-        "n_params": 7.0e9,
-        "n_tokens": 1.4e11,
-        "mfu": 0.40,
-        "n_accelerators": 512,
-    }
     if "model" in params:
         from repro.workloads.genai import inventory_spec
 
         if workload != "llm-training":
             raise QueryError("parameter 'model' applies only to workload 'llm-training'")
-        overridden = sorted(set(spec_defaults) & set(params))
+        overridden = sorted(set(_MODEL_KNOBS) & set(params))
         if overridden:
             raise QueryError(
                 "provide either 'model' or explicit spec knobs, not both "
@@ -538,12 +480,7 @@ def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
             inventory = inventory_spec(model)
         except UnitError as exc:
             raise QueryError(str(exc)) from None
-        spec_defaults.update(
-            n_params=inventory.n_params,
-            n_tokens=inventory.n_tokens,
-            mfu=inventory.mfu,
-            n_accelerators=inventory.n_accelerators,
-        )
+        params = {**params, **{name: getattr(inventory, name) for name in _MODEL_KNOBS}}
 
     accelerator = params.get("accelerator", "NVIDIA A100 (tensor)")
     from repro.energy.devices import catalog, device
@@ -555,134 +492,20 @@ def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
     if device(accelerator).peak_tflops <= 0.0:
         raise QueryError(f"accelerator {accelerator!r} has no peak throughput")
 
-    n_params = _in_range(
-        "n_params",
-        _as_float("n_params", params.get("n_params", spec_defaults["n_params"])),
-        0.0,
-        1e13,
-        lo_open=True,
-    )
-    n_tokens = _in_range(
-        "n_tokens",
-        _as_float("n_tokens", params.get("n_tokens", spec_defaults["n_tokens"])),
-        0.0,
-        1e15,
-        lo_open=True,
-    )
-    mfu = _in_range(
-        "mfu",
-        _as_float("mfu", params.get("mfu", spec_defaults["mfu"])),
-        0.0,
-        0.95,
-        lo_open=True,
-    )
-    n_accelerators = _as_int(
-        "n_accelerators", params.get("n_accelerators", spec_defaults["n_accelerators"])
-    )
-    if not (1 <= n_accelerators <= 65536):
-        raise QueryError(
-            f"parameter 'n_accelerators' must be in [1, 65536], got {n_accelerators}"
-        )
-    peak_qps = _in_range(
-        "peak_qps", _as_float("peak_qps", params.get("peak_qps", 100.0)), 0.0, 1e6,
-        lo_open=True,
-    )
-    tokens_per_request = _in_range(
-        "tokens_per_request",
-        _as_float("tokens_per_request", params.get("tokens_per_request", 256.0)),
-        0.0,
-        1e5,
-        lo_open=True,
-    )
-    context_tokens = _in_range(
-        "context_tokens",
-        _as_float("context_tokens", params.get("context_tokens", 1024.0)),
-        0.0,
-        32768.0,
-        lo_open=True,
-    )
-    batch_size = _as_int("batch_size", params.get("batch_size", 16))
-    if not (1 <= batch_size <= 512):
-        raise QueryError(f"parameter 'batch_size' must be in [1, 512], got {batch_size}")
-    hours = _as_int("hours", params.get("hours", 168))
-    if not (1 <= hours <= MAX_HORIZON_HOURS):
-        raise QueryError(
-            f"parameter 'hours' must be in [1, {MAX_HORIZON_HOURS}], got {hours}"
-        )
-    trough_fraction = _in_range(
-        "trough_fraction",
-        _as_float("trough_fraction", params.get("trough_fraction", 0.68)),
-        0.05,
-        0.95,
-    )
-    demand_seed = _as_int("demand_seed", params.get("demand_seed", 0))
-    if not (0 <= demand_seed <= 2**32 - 1):
-        raise QueryError(
-            f"parameter 'demand_seed' must be in [0, 2**32 - 1], got {demand_seed}"
-        )
-
-    utilization = _in_range(
-        "utilization", _as_float("utilization", params.get("utilization", 0.45)), 0.0, 1.0,
-        lo_open=True,
-    )
-    pue = _in_range("pue", _as_float("pue", params.get("pue", 1.10)), 1.0, 10.0)
-    lifetime = _in_range(
-        "lifetime_years",
-        _as_float("lifetime_years", params.get("lifetime_years", 4.0)),
-        0.0,
-        100.0,
-        lo_open=True,
-    )
-    devices = _as_int("devices_per_server", params.get("devices_per_server", 8))
-    if not (1 <= devices <= 1024):
-        raise QueryError(f"parameter 'devices_per_server' must be in [1, 1024], got {devices}")
-
-    if "intensity_kg_per_kwh" in params and "region" in params:
-        raise QueryError("provide either 'intensity_kg_per_kwh' or 'region', not both")
-    if "region" in params:
-        region = params["region"]
-        if not isinstance(region, str) or region not in regions():
-            raise QueryError(f"unknown region {region!r}; known: {', '.join(regions())}")
-        intensity = intensity_for_region(region)
-        kg_per_kwh, label = intensity.kg_per_kwh, intensity.label
-    elif "intensity_kg_per_kwh" in params:
-        kg_per_kwh = _in_range(
-            "intensity_kg_per_kwh",
-            _as_float("intensity_kg_per_kwh", params["intensity_kg_per_kwh"]),
-            0.0,
-            10.0,
-        )
-        label = str(params.get("intensity_label", "custom"))
-    else:
-        from repro.carbon.intensity import US_AVERAGE
-
-        kg_per_kwh, label = US_AVERAGE.kg_per_kwh, US_AVERAGE.label
-
+    knobs = _read_knobs(params, _GENAI_KNOBS)
+    kg_per_kwh, label = _intensity(params)
     query = GenAIQuery(
-        workload=workload,
-        accelerator=accelerator,
-        n_params=n_params,
-        n_tokens=n_tokens,
-        mfu=mfu,
-        n_accelerators=n_accelerators,
-        peak_qps=peak_qps,
-        tokens_per_request=tokens_per_request,
-        context_tokens=context_tokens,
-        batch_size=batch_size,
-        hours=hours,
-        trough_fraction=trough_fraction,
-        demand_seed=demand_seed,
-        utilization=utilization,
-        pue=pue,
-        lifetime_years=lifetime,
-        devices_per_server=devices,
-        intensity_kg_per_kwh=kg_per_kwh,
-        intensity_label=label,
+        workload, accelerator, intensity_kg_per_kwh=kg_per_kwh, intensity_label=label, **knobs
     )
     try:
-        query._spec()  # surface KV-cache/memory violations as 400s at parse time
+        spec = query._spec()  # surface KV-cache/memory violations as 400s at parse time
     except UnitError as exc:
         raise QueryError(str(exc)) from None
+    if workload == "llm-training" and not spec.wall_clock_hours <= MAX_TRAINING_HOURS:
+        raise QueryError(
+            f"training run would last {spec.wall_clock_hours:.6g} wall-clock hours; "
+            f"the service cap is {MAX_TRAINING_HOURS} (add accelerators or raise 'mfu')"
+        )
     return query
 
 
@@ -690,14 +513,14 @@ def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
 # /schedule/carbon-aware
 # ---------------------------------------------------------------------------
 
-_SCHEDULE_PARAMS: tuple[str, ...] = (
-    "n_jobs",
-    "seed",
-    "horizon_hours",
-    "capacity_kw",
-    "grid_hours",
-    "grid_seed",
-)
+_SCHEDULE_KNOBS: dict[str, Knob] = {
+    "n_jobs": Knob(1, MAX_JOBS, 60, integer=True),
+    "seed": Knob(0, 2**32 - 1, 0, integer=True),
+    "horizon_hours": Knob(24, MAX_HORIZON_HOURS, 168, integer=True),
+    "capacity_kw": Knob(0.0, 1e9, None, lo_open=True),  # None: no power cap
+    "grid_hours": Knob(24, MAX_HORIZON_HOURS, 168, integer=True),
+    "grid_seed": Knob(0, 2**32 - 1, 0, integer=True),
+}
 
 
 @dataclass(frozen=True)
@@ -718,16 +541,6 @@ class ScheduleQuery(Query):
     grid_seed: int
 
     kind = "schedule"
-
-    def to_params(self) -> dict[str, object]:
-        return {
-            "n_jobs": self.n_jobs,
-            "seed": self.seed,
-            "horizon_hours": self.horizon_hours,
-            "capacity_kw": self.capacity_kw,
-            "grid_hours": self.grid_hours,
-            "grid_seed": self.grid_seed,
-        }
 
     def execute(self) -> dict[str, object]:
         from repro.carbon.grid import synthesize_grid_trace
@@ -763,39 +576,18 @@ class ScheduleQuery(Query):
 
 def parse_schedule(params: Mapping[str, object]) -> ScheduleQuery:
     """Validate ``schedule`` query parameters into a :class:`ScheduleQuery`."""
-    _reject_unknown("schedule", params, _SCHEDULE_PARAMS)
-    n_jobs = _as_int("n_jobs", params.get("n_jobs", 60))
-    if not (1 <= n_jobs <= MAX_JOBS):
-        raise QueryError(f"parameter 'n_jobs' must be in [1, {MAX_JOBS}], got {n_jobs}")
-    horizon = _as_int("horizon_hours", params.get("horizon_hours", 168))
-    if not (24 <= horizon <= MAX_HORIZON_HOURS):
+    _reject_unknown("schedule", params, _SCHEDULE_KNOBS)
+    if "capacity_kw" in params and params["capacity_kw"] is None:
+        # An explicit null spells "no power cap", as leaving the knob out does.
+        params = {name: value for name, value in params.items() if name != "capacity_kw"}
+    query = ScheduleQuery(**_read_knobs(params, _SCHEDULE_KNOBS))
+    if query.horizon_hours > query.grid_hours:
         raise QueryError(
-            f"parameter 'horizon_hours' must be in [24, {MAX_HORIZON_HOURS}], got {horizon}"
+            f"'horizon_hours' ({query.horizon_hours}) must not exceed 'grid_hours' "
+            f"({query.grid_hours}); jobs scheduled past the grid trace would have "
+            "undefined emissions"
         )
-    grid_hours = _as_int("grid_hours", params.get("grid_hours", 168))
-    if not (24 <= grid_hours <= MAX_HORIZON_HOURS):
-        raise QueryError(
-            f"parameter 'grid_hours' must be in [24, {MAX_HORIZON_HOURS}], got {grid_hours}"
-        )
-    if horizon > grid_hours:
-        raise QueryError(
-            f"'horizon_hours' ({horizon}) must not exceed 'grid_hours' ({grid_hours}); "
-            "jobs scheduled past the grid trace would have undefined emissions"
-        )
-    capacity: float | None = None
-    if params.get("capacity_kw") is not None:
-        capacity = _in_range(
-            "capacity_kw", _as_float("capacity_kw", params["capacity_kw"]), 0.0, 1e9,
-            lo_open=True,
-        )
-    return ScheduleQuery(
-        n_jobs=n_jobs,
-        seed=_as_int("seed", params.get("seed", 0)),
-        horizon_hours=horizon,
-        capacity_kw=capacity,
-        grid_hours=grid_hours,
-        grid_seed=_as_int("grid_seed", params.get("grid_seed", 0)),
-    )
+    return query
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +640,6 @@ def parse_sweep(params: Mapping[str, object]) -> SweepQuery:
     ``ranges`` list may arrive JSON-encoded (query-string transport).
     """
     from repro.core.sweep import spec_from_params
-    from repro.errors import UnitError
 
     _reject_unknown("sweep", params, _SWEEP_PARAMS)
     normalized = dict(params)
@@ -871,6 +662,22 @@ def parse_sweep(params: Mapping[str, object]) -> SweepQuery:
     return SweepQuery(spec)
 
 
+def _run_with_hooks(target: str, attempt: int, in_worker: bool, run):
+    """Fire the fault hooks for ``target``, then ``run()`` under memo accounting.
+
+    Returns ``(result, substrate-cache counter delta, substrates built)``.
+    """
+    from repro.core import memo
+    from repro.testing import faults
+
+    faults.install_memo_corruption()
+    faults.inject(target, attempt=attempt, hard_exit=in_worker)
+    before = memo.stats_snapshot()
+    with memo.collect_substrates() as collector:
+        result = run()
+    return result, memo.stats_delta(before, memo.stats_snapshot()), collector.pairs
+
+
 def execute_sweep_chunk_task(
     params_json: str, start: int, stop: int, attempt: int = 0, in_worker: bool = True
 ) -> dict[str, object]:
@@ -882,66 +689,61 @@ def execute_sweep_chunk_task(
     kills only the first try of a chunk and the manager's retry resumes
     the sweep from the chunk that died.
     """
-    from repro.core import memo
     from repro.core.sweep import spec_from_params, sweep_chunk
-    from repro.testing import faults
 
     spec = spec_from_params(json.loads(params_json))
-    faults.install_memo_corruption()
-    faults.inject("sweep", attempt=attempt, hard_exit=in_worker)
-    before = memo.stats_snapshot()
-    with memo.collect_substrates() as collector:
-        energy, operational, embodied = sweep_chunk(spec, start, stop)
-    delta = memo.stats_delta(before, memo.stats_snapshot())
-    return {
-        "chunk": (energy, operational, embodied),
-        "stats_delta": delta,
-        "substrates": collector.pairs,
-    }
+    chunk, delta, substrates = _run_with_hooks(
+        "sweep", attempt, in_worker, lambda: sweep_chunk(spec, start, stop)
+    )
+    return {"chunk": chunk, "stats_delta": delta, "substrates": substrates}
 
 
 # ---------------------------------------------------------------------------
 # /stream
 # ---------------------------------------------------------------------------
 
-#: Spec fields coerced as integers / floats (name -> declared range).
-_STREAM_INT_PARAMS: dict[str, tuple[int, int]] = {
-    "hours": (48, MAX_SERVICE_STREAM_HOURS),
-    "grid_seed": (0, 2**31 - 1),
-    "feed_seed": (0, 2**31 - 1),
-    "window_hours": (1, 168),
-    "forecast_horizon_hours": (1, 168),
-    "max_late_hours": (1, 72),
-    "max_revision_lag_hours": (1, 168),
-    "max_stall_hours": (1, 168),
-    "stall_detect_hours": (1, 168),
-}
-_STREAM_FLOAT_PARAMS: dict[str, tuple[float, float]] = {
-    "load_kw": (0.0, 1e6),
-    "load_diurnal_fraction": (0.0, 1.0),
-    "pue": (1.0, 10.0),
-    "late_probability": (0.0, 1.0),
-    "revision_probability": (0.0, 1.0),
-    "revision_noise": (0.0, 1.0),
-    "stall_probability": (0.0, 0.5),
-    "defer_margin": (0.0, 1.0),
-    "min_powered_fraction": (0.0, 1.0),
+#: ``/stream`` spec knobs, with the library's defaults;
+#: :class:`~repro.carbon.stream.StreamSpec` re-checks the spec as a whole.
+_STREAM = StreamSpec()
+_STREAM_KNOBS: dict[str, Knob] = {
+    "hours": Knob(48, MAX_SERVICE_STREAM_HOURS, _STREAM.hours, integer=True),
+    "grid_seed": Knob(0, 2**31 - 1, _STREAM.grid_seed, integer=True),
+    "feed_seed": Knob(0, 2**31 - 1, _STREAM.feed_seed, integer=True),
+    "window_hours": Knob(1, 168, _STREAM.window_hours, integer=True),
+    "forecast_horizon_hours": Knob(1, 168, _STREAM.forecast_horizon_hours, integer=True),
+    "max_late_hours": Knob(1, 72, _STREAM.max_late_hours, integer=True),
+    "max_revision_lag_hours": Knob(1, 168, _STREAM.max_revision_lag_hours, integer=True),
+    "max_stall_hours": Knob(1, 168, _STREAM.max_stall_hours, integer=True),
+    "stall_detect_hours": Knob(1, 168, _STREAM.stall_detect_hours, integer=True),
+    "load_kw": Knob(0.0, 1e6, _STREAM.load_kw),
+    "load_diurnal_fraction": Knob(0.0, 1.0, _STREAM.load_diurnal_fraction),
+    "pue": Knob(1.0, 10.0, _STREAM.pue),
+    "late_probability": Knob(0.0, 1.0, _STREAM.late_probability),
+    "revision_probability": Knob(0.0, 1.0, _STREAM.revision_probability),
+    "revision_noise": Knob(0.0, 1.0, _STREAM.revision_noise),
+    "stall_probability": Knob(0.0, 0.5, _STREAM.stall_probability),
+    "defer_margin": Knob(0.0, 1.0, _STREAM.defer_margin),
+    "min_powered_fraction": Knob(0.0, 1.0, _STREAM.min_powered_fraction),
 }
 
-#: Transport-level ``/stream`` parameters (cursor position, long-poll
-#: wait, page size).  They select *which delta* of a stream to serve,
-#: not which stream — the endpoint and the fabric router strip them
-#: before parsing, so a stream's cache key (its fabric routing key) is
-#: the spec alone and every cursor of one stream pins to one replica.
-STREAM_TRANSPORT_PARAMS: tuple[str, ...] = ("cursor", "wait_s", "max_ticks")
+#: ``/stream`` transport knobs: they select *which delta* of a stream to
+#: serve, not which stream, so they stay out of its cache key (its fabric
+#: routing key) and every cursor of one stream pins to one replica.  A
+#: stream emits at most two ticks an hour (an observation and a revision),
+#: which bounds the cursor; the server clamps the wait to --stream-max-wait.
+STREAM_TRANSPORT_KNOBS: dict[str, Knob] = {
+    "cursor": Knob(0, 2 * MAX_SERVICE_STREAM_HOURS, 0, integer=True),
+    "wait_s": Knob(0.0, math.inf, 0.0),
+    "max_ticks": Knob(1, 20_000, 2048, integer=True),
+}
 
 
 @dataclass(frozen=True)
 class StreamQuery(Query):
     """One live intensity stream, identified by its full spec.
 
-    The cache key deliberately excludes the transport parameters
-    (:data:`STREAM_TRANSPORT_PARAMS`): it names the *stream*, which is
+    The cache key deliberately excludes the transport knobs
+    (:data:`STREAM_TRANSPORT_KNOBS`): it names the *stream*, which is
     what consistent-hash fabric routing needs.  :meth:`execute` is the
     direct library path for the whole stream — the document a client
     would assemble by paging ``cursor=0`` to the end — used by the
@@ -949,7 +751,7 @@ class StreamQuery(Query):
     through the same renderer.
     """
 
-    spec: object  # repro.carbon.stream.StreamSpec (kept lazy for worker import cost)
+    spec: StreamSpec
 
     kind = "stream"
 
@@ -965,26 +767,35 @@ class StreamQuery(Query):
 
 def parse_stream(params: Mapping[str, object]) -> StreamQuery:
     """Validate ``stream`` query parameters into a :class:`StreamQuery`."""
-    from repro.carbon.stream import StreamSpec
-    from repro.errors import UnitError
-
-    allowed = tuple(_STREAM_INT_PARAMS) + tuple(_STREAM_FLOAT_PARAMS)
-    _reject_unknown("stream", params, allowed)
-    kwargs: dict[str, object] = {}
-    for name, (lo, hi) in _STREAM_INT_PARAMS.items():
-        if name in params:
-            value = _as_int(name, params[name])
-            if not (lo <= value <= hi):
-                raise QueryError(f"parameter {name!r} must be in [{lo}, {hi}], got {value}")
-            kwargs[name] = value
-    for name, (lo, hi) in _STREAM_FLOAT_PARAMS.items():
-        if name in params:
-            kwargs[name] = _in_range(name, _as_float(name, params[name]), lo, hi)
+    _reject_unknown("stream", params, _STREAM_KNOBS)
     try:
-        spec = StreamSpec(**kwargs)
+        spec = StreamSpec(**_read_knobs(params, _STREAM_KNOBS))
     except UnitError as exc:
         raise QueryError(str(exc)) from None
     return StreamQuery(spec)
+
+
+def parse_stream_request(
+    params: Mapping[str, object],
+) -> tuple[StreamQuery, dict[str, object]]:
+    """``(stream, transport knobs)`` of one ``GET /stream`` request.
+
+    The endpoint serves the delta the transport knobs select; it and the
+    fabric router both key the stream on the spec parameters alone.
+    """
+    transport = _read_knobs(params, STREAM_TRANSPORT_KNOBS)
+    spec = {name: value for name, value in params.items() if name not in transport}
+    return parse_query("stream", spec), transport
+
+
+#: Every numeric knob, by query kind: the parsers read these tables, and
+#: the service docs and the boundary tests are derived from them.
+KNOBS: dict[str, dict[str, Knob]] = {
+    "footprint": {**_FOOTPRINT_KNOBS, **_INTENSITY_KNOB},
+    "genai": {**_GENAI_KNOBS, **_INTENSITY_KNOB},
+    "schedule": _SCHEDULE_KNOBS,
+    "stream": _STREAM_KNOBS,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -999,6 +810,9 @@ _PARSERS = {
     "sweep": parse_sweep,
     "stream": parse_stream,
 }
+
+#: Query kinds, in routing order.
+QUERY_KINDS: tuple[str, ...] = tuple(_PARSERS)
 
 
 def parse_query(kind: str, params: Mapping[str, object]) -> Query:
@@ -1023,17 +837,9 @@ def execute_query_task(kind: str, params_json: str, in_worker: bool = True) -> d
     ``in_worker=False`` (inline execution, ``--workers 0``) downgrades
     ``crash`` faults to exceptions so the server process survives.
     """
-    from repro.core import memo
-    from repro.testing import faults
-
     query = parse_query(kind, json.loads(params_json))
-    faults.install_memo_corruption()
-    faults.inject(query.fault_target(), attempt=0, hard_exit=in_worker)
-    before = memo.stats_snapshot()
-    with memo.collect_substrates() as collector:
-        payload = query.execute()
-    delta = memo.stats_delta(before, memo.stats_snapshot())
-    return {"payload": payload, "stats_delta": delta, "substrates": collector.pairs}
+    payload, delta, substrates = _run_with_hooks(query.fault_target(), 0, in_worker, query.execute)
+    return {"payload": payload, "stats_delta": delta, "substrates": substrates}
 
 
 def payload_to_result(payload: Mapping[str, object]):

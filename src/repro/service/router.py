@@ -660,12 +660,8 @@ class CarbonQueryRouter:
                 # stream pins to the replica holding its live frontier
                 # state (a different replica would answer via replay —
                 # byte-identical, but cold).
-                spec_params = {
-                    name: value
-                    for name, value in params.items()
-                    if name not in queries.STREAM_TRANSPORT_PARAMS
-                }
-                return "/stream", queries.parse_query("stream", spec_params).cache_key()
+                query, _transport = queries.parse_stream_request(params)
+                return "/stream", query.cache_key()
         except (QueryError, ProtocolError):
             pass
         if path.startswith("/experiments/"):

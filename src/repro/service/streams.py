@@ -40,7 +40,6 @@ from repro.service.http import Response
 DEFAULT_MAX_STREAMS = 32
 DEFAULT_STREAM_TICK_HZ = 64.0
 DEFAULT_STREAM_MAX_WAIT_S = 10.0
-DEFAULT_STREAM_MAX_TICKS = 2048
 
 #: Long-poll wakeup granularity; bounds shutdown latency of held polls.
 _POLL_INTERVAL_S = 0.02
@@ -218,7 +217,6 @@ __all__ = [
     "DEFAULT_MAX_STREAMS",
     "DEFAULT_STREAM_TICK_HZ",
     "DEFAULT_STREAM_MAX_WAIT_S",
-    "DEFAULT_STREAM_MAX_TICKS",
     "StreamJob",
     "StreamManager",
 ]

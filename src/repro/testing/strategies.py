@@ -472,3 +472,39 @@ def llm_serving_specs(draw, max_hours: int = 72) -> "LLMServingSpec":
         trough_fraction=draw(finite_floats(0.1, 0.95)),
         demand_seed=draw(st.integers(0, 2**16)),
     )
+
+
+@st.composite
+def service_query_params(draw, kind: str) -> dict[str, object]:
+    """A whole parameter dict for one service query ``kind``, drawn from its knob table.
+
+    Each knob of :data:`repro.service.queries.KNOBS` is either left out
+    (its default applies) or drawn across its full declared range, as a
+    JSON number or as its query-string spelling.  Footprint and genai
+    queries may name a ``region`` instead of an intensity, and genai
+    training queries a ``model``.  Every draw obeys the tables; cross-knob
+    rules (a schedule horizon past its grid, a KV cache past device
+    memory) may still reject it, which the contract allows.
+    """
+    from repro.carbon.intensity import regions
+    from repro.service.queries import KNOBS
+    from repro.workloads.genai import MODEL_INVENTORY
+
+    values: dict[str, object] = {}
+    if kind == "genai":
+        values["workload"] = draw(st.sampled_from(("llm-training", "llm-serving")))
+    for name, (lo, hi, _default, lo_open, integer) in KNOBS[kind].items():
+        if name == "busy_device_hours" or draw(st.booleans()):
+            if integer:
+                value = draw(st.integers(lo, hi))
+            else:
+                value = draw(st.floats(lo, hi, exclude_min=lo_open, allow_nan=False))
+            values[name] = str(value) if draw(st.booleans()) else value
+    if kind in ("footprint", "genai") and "intensity_kg_per_kwh" not in values:
+        if draw(st.booleans()):
+            values["region"] = draw(st.sampled_from(regions()))
+    if values.get("workload") == "llm-training" and draw(st.booleans()):
+        for name in ("n_params", "n_tokens", "mfu", "n_accelerators"):
+            values.pop(name, None)
+        values["model"] = draw(st.sampled_from([spec.name for spec in MODEL_INVENTORY]))
+    return values

@@ -315,6 +315,8 @@ class LLMServingSpec:
             )
         _positive("tokens_per_request", self.tokens_per_request)
         _positive("context_tokens", self.context_tokens)
+        if self.context_tokens < 1.0:  # can round the KV cache below to zero
+            raise UnitError(f"context_tokens must be at least 1, got {self.context_tokens}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise UnitError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}"

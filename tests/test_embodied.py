@@ -35,6 +35,8 @@ class TestAmortizationPolicy:
             AmortizationPolicy(average_utilization=0.0)
         with pytest.raises(UnitError):
             AmortizationPolicy(average_utilization=1.5)
+        with pytest.raises(UnitError, match="leaves no utilized hours"):
+            AmortizationPolicy(lifetime_years=1e-323, average_utilization=1e-100)
 
     def test_full_lifetime_amortizes_everything(self):
         policy = AmortizationPolicy()

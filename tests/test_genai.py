@@ -95,6 +95,7 @@ class TestSpecValidation:
          "tokens_per_request must be finite"),
         (serving, {"n_params": 4.5e10}, "do not fit"),
         (serving, {"context_tokens": 2.0e5}, "does not fit beside the weights"),
+        (serving, {"context_tokens": 5e-324}, "context_tokens must be at least 1"),
     ]
 
     @pytest.mark.parametrize(

@@ -135,6 +135,36 @@ class TestRunWithFaults:
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "crash:fig7@0")
         assert main(["run", "all", "--jobs", "2", "--quiet"]) == 0
 
+    def test_pool_break_during_submission_retries_the_rest(self, monkeypatch):
+        """A worker dying before the last submit: the rest retry, no attempt spent.
+
+        Makes the second ``submit`` raise as a pool broken mid-loop does,
+        so the race between a dying worker and the submit loop is
+        deterministic.
+        """
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaking_submit(self, *args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 2:
+                raise BrokenProcessPool(
+                    "A child process terminated abruptly, the process pool is not usable anymore"
+                )
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        records = runner_mod._run_many(["fig7", "fig8", "fig6"], jobs=2, retries=0)
+        assert [(r.experiment_id, r.status, r.attempts) for r in records] == [
+            ("fig7", "ok", 1),
+            ("fig8", "ok", 1),
+            ("fig6", "ok", 1),
+        ]
+        assert calls == ["fig7", "fig8", "fig8", "fig6"]
+
     def test_timeout_fault_produces_timeout_record(
         self, capsys, monkeypatch, small_registry
     ):

@@ -12,6 +12,7 @@ the process exits.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import os
 import signal
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ServiceConfig, parse_query, render_payload
+from repro.service import ServiceConfig, parse_query, queries, render_payload
+from repro.service.router import RouterConfig, start_router
 from repro.testing import faults
 from tests.serviceutil import ServiceClient, running_service
 
@@ -209,6 +211,8 @@ class TestBadRequests:
             ("/footprint?busy_device_hours=1&region=atlantis", 400, "bad-request"),
             ("/schedule/carbon-aware?n_jobs=0", 400, "bad-request"),
             ("/schedule/carbon-aware?horizon_hours=3", 400, "bad-request"),
+            ("/schedule/carbon-aware?seed=-1", 400, "bad-request"),
+            ("/schedule/carbon-aware?grid_seed=-1", 400, "bad-request"),
             ("/nope", 404, "not-found"),
         ],
     )
@@ -240,6 +244,63 @@ class TestBadRequests:
             assert response.status == 405
             assert json.loads(response.read())["error"]["kind"] == "method-not-allowed"
             client.close()
+
+
+def _boom(_query):
+    raise RuntimeError("boom")
+
+
+@contextlib.contextmanager
+def _two_replica_fabric():
+    """A router over two in-process replicas; yields (client, router handle)."""
+    with contextlib.ExitStack() as stack:
+        backends = []
+        for _ in range(2):
+            handle, _client = stack.enter_context(running_service(workers=0, lru_size=16))
+            backends.append(f"http://{handle.service.config.host}:{handle.port}")
+        config = RouterConfig(port=0, replicas=0, backends=tuple(backends))
+        router = start_router(config)
+        stack.callback(router.stop)
+        client = ServiceClient(config.host, router.port)
+        stack.callback(client.close)
+        yield client, router
+
+
+def _ejections(router) -> list[int]:
+    return [r.ejections for r in router.router.replicas.values()]
+
+
+class TestInternalErrors:
+    """A handler exception no route maps is still answered, never dropped."""
+
+    def test_unexpected_exception_is_a_structured_500(self, monkeypatch):
+        monkeypatch.setattr(queries.FootprintQuery, "execute", _boom)
+        with running_service(workers=0, lru_size=4) as (_handle, client):
+            reply = client.get("/footprint?busy_device_hours=3")
+            assert reply.status == 500
+            assert reply.json() == {
+                "error": {"kind": "internal-error", "message": "RuntimeError: boom"}
+            }
+            assert client.get("/schedule/carbon-aware?n_jobs=5").status == 200
+            metrics = client.get("/metrics").json()
+            assert metrics["requests"]["server_errors_5xx"] == 1
+
+    def test_fabric_keeps_its_replicas_through_a_500(self, monkeypatch):
+        monkeypatch.setattr(queries.FootprintQuery, "execute", _boom)
+        with _two_replica_fabric() as (client, router):
+            reply = client.get("/footprint?busy_device_hours=3")
+            assert reply.status == 500
+            assert reply.json()["error"]["kind"] == "internal-error"
+            assert _ejections(router) == [0, 0]
+            assert client.get("/schedule/carbon-aware?n_jobs=5").status == 200
+
+    def test_fabric_answers_a_negative_seed_with_400(self):
+        """A seed numpy cannot take is the parser's 400, not a worker crash."""
+        with _two_replica_fabric() as (client, router):
+            reply = client.get("/schedule/carbon-aware?seed=-1")
+            assert reply.status == 400
+            assert reply.json()["error"]["kind"] == "bad-request"
+            assert _ejections(router) == [0, 0]
 
 
 class TestGracefulDrain:
