@@ -40,9 +40,7 @@ COLD_WARM_EXPERIMENTS = ("fig1", "fig5", "fig9", "fig12", "text-gpudays", "text-
 
 @pytest.fixture(scope="module")
 def service():
-    handle = start_service(
-        ServiceConfig(port=0, workers=2, batch_window_s=0.002, lru_size=512)
-    )
+    handle = start_service(ServiceConfig(port=0, workers=2, lru_size=512))
     try:
         yield handle
     finally:
@@ -83,9 +81,7 @@ def test_service_load(service, record, clients):
 
 def test_warm_cache_p50_at_least_5x_faster_than_cold(record):
     """The acceptance bound: warm p50 <= cold p50 / 5, on a fresh LRU."""
-    handle = start_service(
-        ServiceConfig(port=0, workers=0, batch_window_s=0.0, lru_size=512)
-    )
+    handle = start_service(ServiceConfig(port=0, workers=0, lru_size=512))
     try:
         conn = http.client.HTTPConnection(
             handle.service.config.host, handle.port, timeout=300
@@ -175,9 +171,7 @@ def _churn_soak(host: str, port: int, deck: list[str]):
 def churn_baseline(record):
     """Warm single-node churn throughput: the fabric comparison floor."""
     deck = build_churn_mix(0, CHURN_DISTINCT)
-    handle = start_service(
-        ServiceConfig(port=0, workers=0, batch_window_s=0.0, lru_size=CHURN_LRU_SIZE)
-    )
+    handle = start_service(ServiceConfig(port=0, workers=0, lru_size=CHURN_LRU_SIZE))
     try:
         report = _churn_soak(handle.service.config.host, handle.port, deck)
     finally:

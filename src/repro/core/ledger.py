@@ -724,8 +724,13 @@ class Ledger:
     def _append(self, filename: str, doc: Mapping[str, object]) -> None:
         if self.directory is None:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.directory / filename, "a", encoding="utf-8") as handle:
+        path = self.directory / filename
+        try:
+            handle = open(path, "a", encoding="utf-8")
+        except FileNotFoundError:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            handle = open(path, "a", encoding="utf-8")
+        with handle:
             handle.write(compact_dumps(doc) + "\n")
 
     def _write_epochs(self) -> None:
@@ -751,10 +756,16 @@ class Ledger:
 
     def record(self, bundle: Bundle) -> str:
         """Append one bundle (idempotent per content address)."""
-        bundle_id = bundle.bundle_id
+        # One payload serves both the content address (hashed without its
+        # timestamp, as in Bundle.bundle_id) and the journal line.
+        body = bundle.to_payload()
+        provenance = body["provenance"]
+        recorded_at = provenance.pop("recorded_at")  # type: ignore[union-attr]
+        bundle_id = content_hash(body)
         if bundle_id not in self.bundles:
             self.bundles[bundle_id] = bundle
-            self._append("bundles.jsonl", {"bundle_id": bundle_id, "bundle": bundle.to_payload()})
+            provenance["recorded_at"] = recorded_at  # type: ignore[index]
+            self._append("bundles.jsonl", {"bundle_id": bundle_id, "bundle": body})
         return bundle_id
 
     def record_run(
@@ -798,10 +809,8 @@ class Ledger:
     ) -> str:
         """Record one bundle into a (possibly ongoing) run — the service's
         record-on-execute path appends a delta line per execution."""
-        self.record_run(
-            [bundle], run_id=run_id, recorded_at=recorded_at, meta=meta
-        )
-        return bundle.bundle_id
+        rid = self.record_run([bundle], run_id=run_id, recorded_at=recorded_at, meta=meta)
+        return self.runs[rid].experiments[bundle.experiment_id]
 
     def pin_epoch(
         self,

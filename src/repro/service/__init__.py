@@ -2,7 +2,7 @@
 
 A thin asyncio layer over the accounting engine: JSON endpoints for
 experiments, footprints, and carbon-aware schedules, with single-flight
-micro-batching, a bounded response LRU, a worker pool, backpressure, and
+execution, a bounded response LRU, a worker pool, backpressure, and
 graceful drain.  Responses are byte-identical to the direct library
 calls they front — see docs/SERVICE.md.
 

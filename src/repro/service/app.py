@@ -33,7 +33,7 @@ accounting engine over JSON endpoints:
 
 Request path: admission control (bounded in-flight count, excess gets a
 structured ``429``) → response LRU (hit serves the exact bytes of the
-original execution) → micro-batcher (identical in-flight queries share
+original execution) → single-flight (identical in-flight queries share
 one execution) → worker pool (``--workers`` processes; ``0`` = inline)
 with a per-request timeout (``504``) — all over the same
 ``AccountingContext``/``HourlySeries`` engine the CLI runner uses, so a
@@ -52,6 +52,7 @@ On SIGTERM/SIGINT the service stops accepting, drains in-flight requests
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
@@ -86,7 +87,6 @@ from repro.telemetry.counters import ServiceCounters
 #: Service defaults, shared by the CLI flags and :class:`ServiceConfig`.
 DEFAULT_PORT = 8151
 DEFAULT_WORKERS = 2
-DEFAULT_BATCH_WINDOW_S = 0.005
 DEFAULT_MAX_QUEUE = 64
 DEFAULT_REQUEST_TIMEOUT_S = 30.0
 DEFAULT_LRU_SIZE = 256
@@ -100,7 +100,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     workers: int = DEFAULT_WORKERS
-    batch_window_s: float = DEFAULT_BATCH_WINDOW_S
     max_queue: int = DEFAULT_MAX_QUEUE
     request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S
     lru_size: int = DEFAULT_LRU_SIZE
@@ -119,31 +118,32 @@ class ServiceConfig:
     stream_max_wait_s: float = DEFAULT_STREAM_MAX_WAIT_S
 
     def __post_init__(self) -> None:
+        # Float checks are written so that NaN fails them too.
         if self.workers < 0:
             raise ServiceError(f"workers must be >= 0 (0 = inline), got {self.workers}")
-        if self.batch_window_s < 0:
-            raise ServiceError(f"batch window must be >= 0, got {self.batch_window_s}")
         if self.max_queue < 1:
             raise ServiceError(f"max queue must be >= 1, got {self.max_queue}")
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+        if self.request_timeout_s is not None and not self.request_timeout_s > 0:
             raise ServiceError(
                 f"request timeout must be positive or None, got {self.request_timeout_s}"
             )
         if self.lru_size < 0:
             raise ServiceError(f"LRU size must be >= 0, got {self.lru_size}")
-        if self.drain_timeout_s < 0:
+        if not self.drain_timeout_s >= 0:
             raise ServiceError(f"drain timeout must be >= 0, got {self.drain_timeout_s}")
         if self.max_sweeps < 1:
             raise ServiceError(f"max sweeps must be >= 1, got {self.max_sweeps}")
-        if self.ledger_gc_interval_s is not None and self.ledger_gc_interval_s <= 0:
+        if self.ledger_gc_interval_s is not None and not self.ledger_gc_interval_s > 0:
             raise ServiceError(
                 f"ledger gc interval must be positive or None, got {self.ledger_gc_interval_s}"
             )
         if self.max_streams < 1:
             raise ServiceError(f"max streams must be >= 1, got {self.max_streams}")
-        if self.stream_tick_hz <= 0:
-            raise ServiceError(f"stream tick rate must be positive, got {self.stream_tick_hz}")
-        if self.stream_max_wait_s < 0:
+        if not 0 < self.stream_tick_hz < math.inf:
+            raise ServiceError(
+                f"stream tick rate must be positive and finite, got {self.stream_tick_hz}"
+            )
+        if not self.stream_max_wait_s >= 0:
             raise ServiceError(
                 f"stream max wait must be >= 0, got {self.stream_max_wait_s}"
             )
@@ -160,7 +160,7 @@ class CarbonQueryService:
         self.config = config
         self.counters = ServiceCounters()
         self.cache = ResponseCache(config.lru_size)
-        self.batcher = QueryBatcher(config.batch_window_s, self._execute)
+        self.batcher = QueryBatcher(self._execute)
         self.sweeps = SweepManager(self, config.max_sweeps)
         self.streams = StreamManager(
             max_streams=config.max_streams,
@@ -420,7 +420,6 @@ class CarbonQueryService:
                 "draining": self._draining,
                 "workers": self.config.workers,
                 "max_queue": self.config.max_queue,
-                "batch_window_s": self.config.batch_window_s,
                 "experiments": len(experiment_ids()),
             },
             "requests": self.counters.snapshot(),
@@ -827,8 +826,7 @@ def serve(config: ServiceConfig) -> int:
     def _announce(service: CarbonQueryService) -> None:
         print(
             f"listening on http://{config.host}:{service.port} "
-            f"(workers={config.workers}, batch_window={config.batch_window_s}s, "
-            f"max_queue={config.max_queue})",
+            f"(workers={config.workers}, max_queue={config.max_queue})",
             flush=True,
         )
 
@@ -862,13 +860,6 @@ def add_serve_flags(parser) -> None:
         metavar="K",
         default=DEFAULT_WORKERS,
         help="worker processes for query execution; 0 runs inline (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        metavar="SECONDS",
-        default=DEFAULT_BATCH_WINDOW_S,
-        help="micro-batching window coalescing identical queries (default: %(default)s)",
     )
     parser.add_argument(
         "--max-queue",
@@ -957,18 +948,17 @@ def config_from_args(args) -> ServiceConfig:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        batch_window_s=args.batch_window,
         max_queue=args.max_queue,
-        request_timeout_s=args.request_timeout if args.request_timeout > 0 else None,
+        request_timeout_s=None if args.request_timeout <= 0 else args.request_timeout,
         lru_size=args.lru_size,
         drain_timeout_s=args.drain_timeout,
         metrics_json=args.metrics_json,
         max_sweeps=args.max_sweeps,
         ledger_dir=args.ledger_dir,
         ledger_gc_interval_s=(
-            args.ledger_gc_interval
-            if args.ledger_gc_interval and args.ledger_gc_interval > 0
-            else None
+            None
+            if args.ledger_gc_interval is None or args.ledger_gc_interval <= 0
+            else args.ledger_gc_interval
         ),
         max_streams=args.max_streams,
         stream_tick_hz=args.stream_tick_hz,

@@ -1,17 +1,17 @@
-"""Micro-batching: coalesce identical in-flight queries.
+"""Single-flight: identical in-flight queries share one execution.
 
 Interactive carbon-query traffic is highly repetitive — dashboards poll
-the same footprint, fleets of clients ask for the same experiment — so
-the service holds each *first* occurrence of a query for a small window
-(``batch_window_s``, a few milliseconds) before executing it.  Every
-identical query arriving during the window, *or while the execution is
-still in flight*, attaches to the same future and receives the same
-response bytes: N duplicate requests cost one substrate build and one
-execution (single-flight semantics).
+the same footprint, fleets of clients ask for the same experiment.  The
+first arrival of a query key starts its execution at once; every
+identical query that arrives while that execution is still in flight
+attaches to the same future and receives the same response bytes, so N
+concurrent duplicates cost one substrate build and one execution.
 
-Distinct queries are never delayed by each other's windows; the window
-trades a few milliseconds of latency on cold queries for a large
-reduction in duplicated work under concurrency (see docs/SERVICE.md).
+A key leaves the in-flight map only after its execution has settled,
+and the service puts the rendered body in its response LRU before that
+(:meth:`repro.service.app.CarbonQueryService._execute`), so a duplicate
+arriving at any moment either joins the in-flight future or hits the
+cache, unless the LRU has evicted the body since (see docs/SERVICE.md).
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ ExecuteFn = Callable[[str, Query], Awaitable[bytes]]
 class QueryBatcher:
     """Coalesces identical queries onto one shared execution future."""
 
-    def __init__(self, window_s: float, execute: ExecuteFn) -> None:
-        self.window_s = window_s
+    def __init__(self, execute: ExecuteFn) -> None:
         self._execute = execute
         self._pending: dict[str, asyncio.Future] = {}
         self._tasks: set[asyncio.Task] = set()
@@ -39,7 +38,7 @@ class QueryBatcher:
 
     @property
     def in_flight(self) -> int:
-        """Number of distinct queries currently pending or executing."""
+        """Number of distinct queries currently executing."""
         return len(self._pending)
 
     def submit(self, key: str, query: Query) -> asyncio.Future:
@@ -67,10 +66,8 @@ class QueryBatcher:
         return fut
 
     async def _lead(self, key: str, query: Query, fut: asyncio.Future) -> None:
-        """First-arrival body: wait out the window, execute, resolve."""
+        """First-arrival body: execute, resolve, then release the key."""
         try:
-            if self.window_s > 0:
-                await asyncio.sleep(self.window_s)
             self.executions += 1
             result = await self._execute(key, query)
         except asyncio.CancelledError:
@@ -101,7 +98,6 @@ class QueryBatcher:
     def stats(self) -> dict[str, object]:
         """Counter snapshot for ``/metrics``."""
         return {
-            "window_s": self.window_s,
             "executions": self.executions,
             "coalesced": self.coalesced,
             "failures": self.failures,

@@ -4,7 +4,7 @@ Every endpoint of :mod:`repro.service.app` is backed by a :class:`Query`:
 a validated, *normalized* bundle of parameters with
 
 * a canonical cache key (:meth:`Query.cache_key`) used by the response
-  LRU and the micro-batcher — two requests that normalize to the same
+  LRU and the single-flight batcher — two requests that normalize to the same
   key are answered by one execution;
 * a pure library execution (:meth:`Query.execute`) over the existing
   engine (:func:`repro.experiments.registry.run_experiment`,

@@ -132,21 +132,22 @@ class RouterConfig:
     metrics_json: str | None = None
 
     def __post_init__(self) -> None:
+        # Float checks are written so that NaN fails them too.
         if not self.backends and self.replicas < 1:
             raise ServiceError(f"replicas must be >= 1, got {self.replicas}")
         if self.vnodes < 1:
             raise ServiceError(f"vnodes must be >= 1, got {self.vnodes}")
-        if self.health_interval_s <= 0:
+        if not self.health_interval_s > 0:
             raise ServiceError(
                 f"health interval must be positive, got {self.health_interval_s}"
             )
         if self.eject_after < 1:
             raise ServiceError(f"eject-after must be >= 1, got {self.eject_after}")
-        if self.proxy_timeout_s is not None and self.proxy_timeout_s <= 0:
+        if self.proxy_timeout_s is not None and not self.proxy_timeout_s > 0:
             raise ServiceError(
                 f"proxy timeout must be positive or None, got {self.proxy_timeout_s}"
             )
-        if self.drain_timeout_s < 0:
+        if not self.drain_timeout_s >= 0:
             raise ServiceError(f"drain timeout must be >= 0, got {self.drain_timeout_s}")
 
 
@@ -1180,7 +1181,7 @@ def router_config_from_args(args) -> RouterConfig:
         vnodes=args.vnodes,
         health_interval_s=args.health_interval,
         eject_after=args.eject_after,
-        proxy_timeout_s=args.proxy_timeout if args.proxy_timeout > 0 else None,
+        proxy_timeout_s=None if args.proxy_timeout <= 0 else args.proxy_timeout,
         drain_timeout_s=args.drain_timeout,
         restart_replicas=not args.no_restart,
         replica_args=tuple(replica_args),

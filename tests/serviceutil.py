@@ -87,7 +87,7 @@ class ServiceClient:
 @contextlib.contextmanager
 def running_service(**overrides):
     """A live service (ephemeral port) plus a client, torn down on exit."""
-    config = ServiceConfig(**{"port": 0, "workers": 0, "batch_window_s": 0.0, **overrides})
+    config = ServiceConfig(**{"port": 0, "workers": 0, **overrides})
     handle = start_service(config)
     client = ServiceClient(config.host, handle.port)
     try:

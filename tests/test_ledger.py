@@ -6,6 +6,9 @@ claim-by-claim diff that now backs ``sustainable-ai verify``, and the
 ``merge_failures`` edge cases routed through the ledger-diff path.
 """
 
+import hashlib
+import shutil
+
 import pytest
 
 from repro.core import ledger
@@ -17,6 +20,7 @@ from repro.core.ledger import (
     Claim,
     Ledger,
     LedgerError,
+    Provenance,
     SubstrateRef,
     bundle_from_payload,
     bundles_from_baselines,
@@ -395,6 +399,74 @@ class TestLedgerStore:
         assert stats["runs"] == ["r1"]
         assert stats["directory"] == str(tmp_path)
         assert Ledger.in_memory().stats()["directory"] is None
+
+    def test_journal_bytes_and_ids_are_pinned(self, tmp_path):
+        """Fixed calls with fixed timestamps write fixed journal bytes.
+
+        The code version is spelled out so the pin holds on every
+        interpreter and numpy release.
+        """
+
+        def pinned(experiment_id, value, recorded_at):
+            return Bundle(
+                experiment_id=experiment_id,
+                title=f"pinned {experiment_id}",
+                status="ok",
+                claims=(Claim("total_kg", value, "kgCO2e"),),
+                provenance=Provenance(
+                    code_version={"repro": "1.0", "numpy": "1.26", "python": "3.11"},
+                    config={"query": {"busy_device_hours": value}},
+                    substrates=(SubstrateRef("synthesize_grid_trace", "ab" * 32),),
+                    invariant_status="ok",
+                    recorded_at=recorded_at,
+                    source="service",
+                ),
+                payload={"headline": {"total_kg": value}},
+            )
+
+        led = Ledger.open(tmp_path / "ledger")
+        ids = [
+            led.record_run(
+                [pinned("fig-x", 1.5, 10.0), pinned("fig-y", 2.5, 11.0)],
+                run_id="r1",
+                recorded_at=12.0,
+                meta={"jobs": 1},
+            ),
+            led.update_run("service", pinned("fig-z", 3.5, 20.0), recorded_at=21.0),
+            # The same content re-recorded later: a runs delta, no new bundle line.
+            led.update_run("service", pinned("fig-z", 3.5, 30.0), recorded_at=31.0),
+        ]
+        assert ids == [
+            "r1",
+            "dfe6f736147dba167b828180e39c935c323db1be72d9f6ea1683cc02cfcd951b",
+            "dfe6f736147dba167b828180e39c935c323db1be72d9f6ea1683cc02cfcd951b",
+        ]
+        digests = {
+            name: hashlib.sha256((tmp_path / "ledger" / name).read_bytes()).hexdigest()
+            for name in ("bundles.jsonl", "runs.jsonl")
+        }
+        assert digests == {
+            "bundles.jsonl": "a9d9c8bb76f874d33afdfe7f6198bacd280920c3373ccec4b09be4023864a63d",
+            "runs.jsonl": "677ecdb833e2748c5aa4a9edb713af14b08b2a84511d295a48b510c8494f84b7",
+        }
+        assert ids[1] == pinned("fig-z", 3.5, 99.0).bundle_id
+
+    def test_missing_directory_is_created_on_append(self, tmp_path):
+        root = tmp_path / "absent" / "ledger"
+        led = Ledger.open(root)
+        assert not root.exists()
+        first = led.update_run("service", make_bundle(), recorded_at=1.0)
+        again = Ledger.open(root)
+        assert again.corrupt_lines == 0
+        assert again.resolve("service")["fig-x"].bundle_id == first
+        # Removed between two appends: the next append creates it again.
+        shutil.rmtree(tmp_path / "absent")
+        second = led.update_run("service", make_bundle("fig-y"), recorded_at=2.0)
+        again = Ledger.open(root)
+        assert again.corrupt_lines == 0
+        assert {eid: b.bundle_id for eid, b in again.resolve("service").items()} == {
+            "fig-y": second
+        }
 
 
 class TestLedgerDirResolution:

@@ -8,6 +8,7 @@ fallbacks otherwise), and the ``fabric`` CLI flags -> config mapping.
 """
 
 import argparse
+import math
 
 import pytest
 
@@ -55,6 +56,9 @@ class TestRouterConfig:
             {"eject_after": 0},
             {"proxy_timeout_s": -1.0},
             {"drain_timeout_s": -0.1},
+            {"health_interval_s": math.nan},
+            {"proxy_timeout_s": math.nan},
+            {"drain_timeout_s": math.nan},
         ),
     )
     def test_invalid_knobs_raise(self, kwargs):
@@ -245,14 +249,14 @@ class TestFabricFlags:
 
     def test_workers_and_lru_map_into_replica_args(self):
         config = router_config_from_args(
-            self._parse(["--workers", "0", "--lru-size", "64", "--replica-arg=--batch-window=0"])
+            self._parse(["--workers", "0", "--lru-size", "64", "--replica-arg=--max-queue=8"])
         )
         assert config.replica_args == (
             "--workers",
             "0",
             "--lru-size",
             "64",
-            "--batch-window=0",
+            "--max-queue=8",
         )
 
     def test_backends_and_drain_knobs(self):
@@ -272,6 +276,11 @@ class TestFabricFlags:
         assert config.backends == ("http://127.0.0.1:9001", "http://127.0.0.1:9002")
         assert config.proxy_timeout_s is None
         assert config.restart_replicas is False
+
+    def test_nan_proxy_timeout_flag_is_rejected(self):
+        """``--proxy-timeout nan`` is an error, not "no timeout"."""
+        with pytest.raises(ServiceError, match="proxy timeout"):
+            router_config_from_args(self._parse(["--proxy-timeout", "nan"]))
 
     def test_ledger_gc_and_stream_knobs_pass_through_to_replicas(self):
         config = router_config_from_args(

@@ -170,7 +170,7 @@ class TestConcurrentConformance:
         query endpoints; every response must equal the direct call.
         """
         targets = experiment_ids()[:8]
-        with running_service(workers=2, batch_window_s=0.002, lru_size=64) as (
+        with running_service(workers=2, lru_size=64) as (
             _handle,
             client0,
         ):

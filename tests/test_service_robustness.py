@@ -11,19 +11,26 @@ the process exits.
 
 from __future__ import annotations
 
+import argparse
+import asyncio
 import concurrent.futures
 import contextlib
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from urllib.parse import parse_qsl
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service import ServiceConfig, parse_query, queries, render_payload
+from repro.service.app import add_serve_flags, config_from_args
+from repro.service.loadgen import build_mix
 from repro.service.router import RouterConfig, start_router
 from repro.testing import faults
 from tests.serviceutil import ServiceClient, running_service
@@ -39,49 +46,72 @@ class TestConfigValidation:
         "overrides",
         [
             {"workers": -1},
-            {"batch_window_s": -0.1},
             {"max_queue": 0},
             {"request_timeout_s": 0.0},
             {"lru_size": -1},
             {"drain_timeout_s": -1.0},
             {"max_sweeps": 0},
+            {"request_timeout_s": math.nan},
+            {"drain_timeout_s": math.nan},
+            {"ledger_gc_interval_s": math.nan},
+            {"stream_tick_hz": math.nan},
+            {"stream_tick_hz": math.inf},
+            {"stream_max_wait_s": math.nan},
         ],
     )
     def test_bad_knobs_rejected(self, overrides):
-        from repro.errors import ServiceError
-
         with pytest.raises(ServiceError):
             ServiceConfig(**overrides)
 
+    def test_nan_request_timeout_flag_is_rejected(self):
+        """``--request-timeout nan`` is an error, not "no timeout"."""
+        parser = argparse.ArgumentParser()
+        add_serve_flags(parser)
+        disabled = config_from_args(parser.parse_args(["--request-timeout", "0"]))
+        assert disabled.request_timeout_s is None
+        with pytest.raises(ServiceError, match="request timeout"):
+            config_from_args(parser.parse_args(["--request-timeout", "nan"]))
+
+
+def _get_all(host: str, port: int, paths: list[str]) -> list[tuple[int, bytes]]:
+    """Replay ``paths`` in order on one keep-alive connection."""
+    client = ServiceClient(host, port)
+    try:
+        return [(reply.status, reply.body) for reply in map(client.get, paths)]
+    finally:
+        client.close()
+
+
+def _cache_key(path: str) -> str:
+    """The canonical cache key the service derives for a loadgen path."""
+    route, _, query_string = path.partition("?")
+    if route.startswith("/experiments/"):
+        kind, params = "experiment", {"experiment_id": route[len("/experiments/"):]}
+    else:
+        kind, params = route.strip("/").split("/")[0], dict(parse_qsl(query_string))
+    return parse_query(kind, params).cache_key()
+
 
 class TestBatching:
-    def test_duplicate_queries_coalesce_to_one_execution(self):
-        """8 concurrent identical schedule queries -> 1 substrate build."""
-        with running_service(workers=0, batch_window_s=0.25, lru_size=16) as (
-            handle,
-            client0,
-        ):
+    def test_duplicate_queries_coalesce_to_one_execution(self, monkeypatch):
+        """8 concurrent identical schedule queries -> 1 substrate build.
+
+        An injected 0.5 s delay holds the one execution in flight while
+        the other seven arrive and join it.
+        """
+        path = "/schedule/carbon-aware?n_jobs=12&grid_seed=424242"
+        expected = render_payload(
+            parse_query("schedule", {"n_jobs": 12, "grid_seed": 424242}).execute()
+        )
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "timeout:schedule:0.5")
+        with running_service(workers=0, lru_size=16) as (handle, client0):
             host, port = client0.host, client0.port
-            path = "/schedule/carbon-aware?n_jobs=12&grid_seed=424242"
-            expected = render_payload(
-                parse_query("schedule", {"n_jobs": 12, "grid_seed": 424242}).execute()
-            )
-
-            def one_request(_index: int) -> bytes:
-                client = ServiceClient(host, port)
-                try:
-                    reply = client.get(path)
-                    assert reply.status == 200, reply.body
-                    return reply.body
-                finally:
-                    client.close()
-
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                bodies = [
+                replies = [
                     f.result(timeout=120)
-                    for f in [pool.submit(one_request, i) for i in range(8)]
+                    for f in [pool.submit(_get_all, host, port, [path]) for _ in range(8)]
                 ]
-            assert all(body == expected for body in bodies)
+            assert replies == [[(200, expected)]] * 8
 
             metrics = client0.get("/metrics").json()
             batching = metrics["batching"]
@@ -94,8 +124,52 @@ class TestBatching:
             assert totals["hits"] + totals["misses"] == 1
             assert metrics["requests"]["by_status"]["200"] >= 8
 
+    def test_loadgen_mix_executes_each_key_exactly_once(self):
+        """16 clients replaying the default mix: one execution per key.
+
+        Every duplicate either joins the in-flight execution or hits the
+        response LRU, which holds the whole mix.
+        """
+        decks = [build_mix(seed) for seed in range(16)]
+        distinct = {_cache_key(path) for path in decks[0]}
+        assert len(distinct) == 11
+        with running_service(workers=2, lru_size=256) as (_handle, client0):
+            host, port = client0.host, client0.port
+            with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
+                replies = [
+                    f.result(timeout=300)
+                    for f in [pool.submit(_get_all, host, port, deck) for deck in decks]
+                ]
+            assert {status for deck in replies for status, _body in deck} == {200}
+            batching = client0.get("/metrics").json()["batching"]
+        assert batching["executions"] == len(distinct)
+        assert batching["failures"] == batching["in_flight"] == 0
+
+    def test_cache_holds_the_body_before_the_shared_future_settles(self):
+        """The ordering single-flight relies on: by the time the shared
+        future's callbacks run, the key has left the in-flight map and
+        the response LRU already holds its body."""
+        query = parse_query("footprint", {"busy_device_hours": 11})
+        key = query.cache_key()
+        with running_service(workers=0, lru_size=4) as (handle, _client):
+            service = handle.service
+            seen = []
+
+            async def submit_and_wait() -> bytes:
+                future = service.batcher.submit(key, query)
+                future.add_done_callback(
+                    lambda _f: seen.append((service.cache.get(key), service.batcher.in_flight))
+                )
+                return await future
+
+            body = asyncio.run_coroutine_threadsafe(
+                submit_and_wait(), service._loop
+            ).result(timeout=120)
+        assert seen == [(body, 0)]
+        assert body == render_payload(query.execute())
+
     def test_distinct_queries_are_not_delayed_into_one(self):
-        with running_service(workers=0, batch_window_s=0.02, lru_size=16) as (
+        with running_service(workers=0, lru_size=16) as (
             _handle,
             client,
         ):
@@ -112,9 +186,10 @@ class TestBackpressure:
     def test_overload_returns_structured_429(self, monkeypatch):
         """Queue bound 2 + slow executions -> excess requests shed as 429."""
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "timeout:schedule:0.6")
-        with running_service(
-            workers=0, batch_window_s=0.0, max_queue=2, lru_size=16
-        ) as (handle, client0):
+        with running_service(workers=0, max_queue=2, lru_size=16) as (
+            handle,
+            client0,
+        ):
             host, port = client0.host, client0.port
 
             def one_request(index: int) -> tuple[int, dict]:
