@@ -36,13 +36,14 @@ import numpy as np
 
 from repro.carbon.forecast import diurnal_forecast, persistence_forecast
 from repro.carbon.grid import GridTrace, synthesize_grid_trace
+from repro.core import knobs
 from repro.core.incremental import IncrementalAccounting
 from repro.core.memo import memoized_substrate
 from repro.core.series import HourlySeries
 from repro.errors import UnitError
 
 #: Longest stream horizon the library will synthesize (seven years).
-MAX_STREAM_HOURS = 61_368
+MAX_STREAM_HOURS = knobs.STREAM["hours"].hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,44 +76,9 @@ class StreamSpec:
     min_powered_fraction: float = 0.4
 
     def __post_init__(self) -> None:
-        if not (48 <= self.hours <= MAX_STREAM_HOURS):
-            raise UnitError(
-                f"stream hours must be in [48, {MAX_STREAM_HOURS}], got {self.hours}"
-            )
-        for name in ("grid_seed", "feed_seed"):
-            if getattr(self, name) < 0:
-                raise UnitError(f"{name} must be non-negative")
-        if not (0.0 < self.load_kw <= 1e6):
-            raise UnitError(f"load_kw must be in (0, 1e6], got {self.load_kw}")
-        if not (0.0 <= self.load_diurnal_fraction <= 1.0):
-            raise UnitError("load_diurnal_fraction must be in [0, 1]")
-        if not (1.0 <= self.pue <= 10.0):
-            raise UnitError(f"PUE must be in [1, 10], got {self.pue}")
-        if not (1 <= self.window_hours <= 168):
-            raise UnitError("window_hours must be in [1, 168]")
-        if not (1 <= self.forecast_horizon_hours <= 168):
-            raise UnitError("forecast_horizon_hours must be in [1, 168]")
+        knobs.check_fields(self, knobs.STREAM)
         if self.forecast_horizon_hours > self.hours:
             raise UnitError("forecast horizon must not exceed the stream horizon")
-        for name in ("late_probability", "revision_probability"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise UnitError(f"{name} must be in [0, 1]")
-        if not (0.0 <= self.stall_probability <= 0.5):
-            raise UnitError("stall_probability must be in [0, 0.5]")
-        if not (0.0 <= self.revision_noise <= 1.0):
-            raise UnitError("revision_noise must be in [0, 1]")
-        for name, hi in (
-            ("max_late_hours", 72),
-            ("max_revision_lag_hours", 168),
-            ("max_stall_hours", 168),
-            ("stall_detect_hours", 168),
-        ):
-            if not (1 <= getattr(self, name) <= hi):
-                raise UnitError(f"{name} must be in [1, {hi}]")
-        if not (0.0 <= self.defer_margin <= 1.0):
-            raise UnitError("defer_margin must be in [0, 1]")
-        if not (0.0 < self.min_powered_fraction <= 1.0):
-            raise UnitError("min_powered_fraction must be in (0, 1]")
 
     def to_params(self) -> dict[str, object]:
         """The spec as a flat canonical parameter mapping."""

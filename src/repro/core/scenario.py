@@ -27,17 +27,16 @@ Modeling choices (matching Figure 9's construction):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.carbon.embodied import AmortizationPolicy, GPU_SERVER_EMBODIED
 from repro.carbon.intensity import CarbonIntensity, SOLAR_LIFECYCLE, US_AVERAGE
+from repro.core import knobs
 from repro.core.context import AccountingContext
 from repro.core.quantities import Carbon, Energy
 from repro.energy.devices import DeviceSpec, V100
-from repro.errors import UnitError
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,35 +59,7 @@ class Scenario:
     name: str = "baseline"
 
     def __post_init__(self) -> None:
-        # Every numeric check spells out finiteness: a bare `x < 1` or
-        # `x <= 0` comparison is False for NaN, which used to let NaN
-        # knobs (most visibly PUE) slip through and surface later as
-        # silent NaN footprints instead of a structured error here.
-        if not (math.isfinite(self.utilization) and 0 < self.utilization <= 1):
-            raise UnitError(f"utilization must be in (0, 1], got {self.utilization}")
-        if self.devices_per_server <= 0:
-            raise UnitError("devices_per_server must be positive")
-        if not (
-            math.isfinite(self.board_power_fraction)
-            and 0 < self.board_power_fraction <= 1
-        ):
-            raise UnitError(
-                f"board power fraction must be in (0, 1], got {self.board_power_fraction}"
-            )
-        if not (
-            math.isfinite(self.infrastructure_embodied_factor)
-            and self.infrastructure_embodied_factor >= 1
-        ):
-            raise UnitError(
-                "infrastructure factor must be finite and >= 1, "
-                f"got {self.infrastructure_embodied_factor}"
-            )
-        if not (math.isfinite(self.lifetime_years) and self.lifetime_years > 0):
-            raise UnitError(
-                f"lifetime must be finite and positive, got {self.lifetime_years}"
-            )
-        if not (math.isfinite(self.pue) and self.pue >= 1):
-            raise UnitError(f"PUE must be finite and >= 1, got {self.pue}")
+        knobs.check_fields(self, knobs.SCENARIO)
 
     def but(self, **changes) -> "Scenario":
         """A modified copy (``scenario.but(utilization=0.8)``)."""
@@ -142,15 +113,7 @@ def evaluate_work(busy_device_hours: float, scenario: Scenario) -> ScenarioResul
     (and drawing board power) for ``busy/utilization`` wall-clock hours
     and occupies servers for the whole window, accruing embodied carbon.
     """
-    if not (
-        isinstance(busy_device_hours, (int, float))
-        and math.isfinite(busy_device_hours)
-    ):
-        raise UnitError(
-            f"busy device-hours must be a finite number, got {busy_device_hours!r}"
-        )
-    if busy_device_hours < 0:
-        raise UnitError("busy device-hours must be non-negative")
+    knobs.SWEEP["busy_device_hours"].check("busy_device_hours", busy_device_hours)
     context = scenario.accounting_context()
     resident_hours = busy_device_hours / scenario.utilization
     board_watts = scenario.device.tdp_watts * scenario.board_power_fraction

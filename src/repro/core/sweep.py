@@ -33,7 +33,6 @@ kernel therefore never re-associates, never fuses, and never uses
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -42,17 +41,18 @@ import numpy as np
 
 from repro import units
 from repro.carbon.intensity import CarbonIntensity, US_AVERAGE
+from repro.core import knobs
 from repro.core.memo import memoized_substrate
 from repro.core.scenario import Scenario, evaluate_work
 from repro.errors import UnitError
 
 __all__ = [
     "SWEEP_PARAMETERS",
-    "PARAMETER_BOUNDS",
     "MAX_SWEEP_POINTS",
     "DEFAULT_CHUNK_POINTS",
     "DEFAULT_RANGES",
     "ParameterRange",
+    "read_range",
     "SweepSpec",
     "StackedScenarioResult",
     "SweepOutcome",
@@ -80,33 +80,8 @@ SWEEP_PARAMETERS: tuple[str, ...] = (
     "intensity_scale",
 )
 
-#: Inclusive range bounds a :class:`ParameterRange` may span, per knob.
-#: Chosen to keep every sampled point a *valid* :class:`Scenario` (so the
-#: scalar reference path never rejects a point the stacked path accepted)
-#: and the arithmetic well-scaled.
-PARAMETER_BOUNDS: dict[str, tuple[float, float]] = {
-    "pue": (1.0, 10.0),
-    "utilization": (0.01, 1.0),
-    "lifetime_years": (0.25, 100.0),
-    "board_power_fraction": (0.05, 1.0),
-    "infrastructure_embodied_factor": (1.0, 100.0),
-    "intensity_scale": (0.0, 100.0),
-}
-
-#: Validation domain of each knob inside the stacked kernel itself:
-#: ``(lo, hi, lo_open)``.  Wider than :data:`PARAMETER_BOUNDS` — these are
-#: the physical domains :class:`~repro.core.scenario.Scenario` enforces.
-_DOMAINS: dict[str, tuple[float, float, bool]] = {
-    "pue": (1.0, math.inf, False),
-    "utilization": (0.0, 1.0, True),
-    "lifetime_years": (0.0, math.inf, True),
-    "board_power_fraction": (0.0, 1.0, True),
-    "infrastructure_embodied_factor": (1.0, math.inf, False),
-    "intensity_scale": (0.0, math.inf, False),
-}
-
 #: Hard cap on a single sweep's point count (grid product or Sobol draw).
-MAX_SWEEP_POINTS = 1_000_000
+MAX_SWEEP_POINTS = knobs.SWEEP_POINTS.hi
 
 #: Default chunk granularity of :func:`run_sweep` — small enough that a
 #: resumed sweep skips most of the work, large enough that per-chunk
@@ -116,6 +91,16 @@ DEFAULT_CHUNK_POINTS = 2048
 #: Rows of the Pareto frontier listed verbatim in payloads; the full
 #: frontier size always rides in the headline (``pareto_points``).
 MAX_PARETO_ROWS = 64
+
+
+def _span(name: str) -> knobs.Knob:
+    """The span row of sweepable knob ``name``; an unknown name is a UnitError."""
+    if name not in knobs.SWEEP_RANGES:
+        raise UnitError(
+            f"unknown sweep parameter {name!r}; "
+            f"sweepable: {', '.join(SWEEP_PARAMETERS)}"
+        )
+    return knobs.SWEEP_RANGES[name]
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,32 +117,33 @@ class ParameterRange:
     points: int = 5
 
     def __post_init__(self) -> None:
-        if self.name not in SWEEP_PARAMETERS:
-            raise UnitError(
-                f"unknown sweep parameter {self.name!r}; "
-                f"sweepable: {', '.join(SWEEP_PARAMETERS)}"
-            )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise UnitError(f"range for {self.name!r} must be finite")
+        span = _span(self.name)
+        span.check(self.name, self.lo)
+        span.check(self.name, self.hi)
+        knobs.SWEEP_POINTS.check("points", self.points)
         if self.lo > self.hi:
             raise UnitError(
                 f"range for {self.name!r} must satisfy lo <= hi, "
                 f"got [{self.lo}, {self.hi}]"
             )
-        bound_lo, bound_hi = PARAMETER_BOUNDS[self.name]
-        if self.lo < bound_lo or self.hi > bound_hi:
-            raise UnitError(
-                f"range for {self.name!r} must lie within "
-                f"[{bound_lo}, {bound_hi}], got [{self.lo}, {self.hi}]"
-            )
-        if self.points < 1:
-            raise UnitError(f"range for {self.name!r} needs >= 1 point")
 
     def axis(self) -> np.ndarray:
         """The grid-axis values: ``points`` evenly spaced floats."""
         if self.points == 1:
             return np.array([self.lo], dtype=float)
         return np.linspace(self.lo, self.hi, self.points)
+
+
+def read_range(name: str, lo: object, hi: object, points: object) -> ParameterRange:
+    """A :class:`ParameterRange` from raw values (numbers or their text).
+
+    The values go through the range's knob rows, so a boolean, a fraction
+    of a point or an out-of-span end is refused with the rows' message.
+    """
+    span = _span(name)
+    return ParameterRange(
+        name, span.read(name, lo), span.read(name, hi), knobs.SWEEP_POINTS.read("points", points)
+    )
 
 
 #: The default sweep box: the paper's stated ranges for the four headline
@@ -191,15 +177,7 @@ class SweepSpec:
     devices_per_server: int = 2
 
     def __post_init__(self) -> None:
-        if not (
-            isinstance(self.busy_device_hours, (int, float))
-            and math.isfinite(self.busy_device_hours)
-        ):
-            raise UnitError(
-                f"busy device-hours must be finite, got {self.busy_device_hours!r}"
-            )
-        if self.busy_device_hours < 0:
-            raise UnitError("busy device-hours must be non-negative")
+        knobs.check_fields(self, knobs.SWEEP)
         if not self.ranges:
             raise UnitError("a sweep needs at least one parameter range")
         names = [r.name for r in self.ranges]
@@ -209,24 +187,10 @@ class SweepSpec:
             raise UnitError(
                 f"sampling must be 'grid' or 'sobol', got {self.sampling!r}"
             )
-        if self.sampling == "sobol" and not (1 <= self.n_points <= MAX_SWEEP_POINTS):
-            raise UnitError(
-                f"sobol n_points must be in [1, {MAX_SWEEP_POINTS}], "
-                f"got {self.n_points}"
-            )
         if self.total_points() > MAX_SWEEP_POINTS:
             raise UnitError(
                 f"sweep would evaluate {self.total_points()} points; "
                 f"the cap is {MAX_SWEEP_POINTS}"
-            )
-        if not math.isfinite(self.intensity_kg_per_kwh) or self.intensity_kg_per_kwh < 0:
-            raise UnitError(
-                f"base intensity must be finite and non-negative, "
-                f"got {self.intensity_kg_per_kwh!r}"
-            )
-        if not (1 <= self.devices_per_server <= 1024):
-            raise UnitError(
-                f"devices_per_server must be in [1, 1024], got {self.devices_per_server}"
             )
 
     def total_points(self) -> int:
@@ -328,8 +292,14 @@ class StackedScenarioResult:
 
 
 def _validate_axis(name: str, values: np.ndarray) -> None:
-    """Reject non-finite / out-of-domain values with a structured error."""
-    lo, hi, lo_open = _DOMAINS[name]
+    """Reject non-finite / out-of-domain values with a structured error.
+
+    The domain is the knob's :class:`~repro.core.scenario.Scenario` row,
+    wider than the span a :class:`ParameterRange` may take; the one knob
+    that is no scenario field, ``intensity_scale``, is a non-negative
+    multiplier.
+    """
+    lo, hi, _default, lo_open, _integer = knobs.SCENARIO.get(name, knobs.NON_NEGATIVE)
     finite = np.isfinite(values)
     if not finite.all():
         index = int(np.argmin(finite))
@@ -356,11 +326,7 @@ def _axis_arrays(
     arrays: dict[str, np.ndarray] = {}
     n: int | None = None
     for name, values in params.items():
-        if name not in SWEEP_PARAMETERS:
-            raise UnitError(
-                f"unknown sweep parameter {name!r}; "
-                f"sweepable: {', '.join(SWEEP_PARAMETERS)}"
-            )
+        _span(name)
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or len(arr) == 0:
             raise UnitError(
@@ -404,15 +370,7 @@ def evaluate_work_stacked(
     element-wise instead of one point at a time.  Comments cite the
     scalar statement being mirrored.
     """
-    if not (
-        isinstance(busy_device_hours, (int, float))
-        and math.isfinite(busy_device_hours)
-    ):
-        raise UnitError(
-            f"busy device-hours must be finite, got {busy_device_hours!r}"
-        )
-    if busy_device_hours < 0:
-        raise UnitError("busy device-hours must be non-negative")
+    knobs.SWEEP["busy_device_hours"].check("busy_device_hours", busy_device_hours)
     n, axes = _axis_arrays(base, params)
 
     # evaluate_work: resident_hours = busy / utilization
@@ -721,37 +679,29 @@ def spec_to_params(spec: SweepSpec) -> dict[str, object]:
     }
 
 
+#: The spec's knob rows, defaulting as :class:`SweepSpec` does.
+_DEFAULT = SweepSpec()
+_SPEC_KNOBS = knobs.with_defaults(knobs.SWEEP, _DEFAULT)
+
+
 def spec_from_params(params: Mapping[str, object]) -> SweepSpec:
     """Rebuild a spec from :func:`spec_to_params` output.
 
-    Raises :class:`~repro.errors.UnitError` on malformed input; the
-    service layer wraps this with its own coercion and turns violations
-    into structured 400s.
+    Every number is read through the sweep's knob rows
+    (:data:`repro.core.knobs.SWEEP`, :func:`read_range`), so a malformed
+    value raises the same :class:`~repro.errors.UnitError` the spec's own
+    check does; the service turns it into a structured 400.
     """
     try:
         ranges = tuple(
-            ParameterRange(
-                name=str(row["name"]),
-                lo=float(row["lo"]),
-                hi=float(row["hi"]),
-                points=int(row["points"]),
-            )
+            read_range(row["name"], row["lo"], row["hi"], row["points"])
             for row in params.get("ranges", ())  # type: ignore[union-attr]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise UnitError(f"malformed sweep ranges: {exc}") from exc
-    try:
-        return SweepSpec(
-            busy_device_hours=float(params["busy_device_hours"]),  # type: ignore[arg-type]
-            ranges=ranges,
-            sampling=str(params.get("sampling", "grid")),
-            n_points=int(params.get("n_points", 1024)),  # type: ignore[arg-type]
-            seed=int(params.get("seed", 0)),  # type: ignore[arg-type]
-            intensity_kg_per_kwh=float(
-                params.get("intensity_kg_per_kwh", US_AVERAGE.kg_per_kwh)  # type: ignore[arg-type]
-            ),
-            intensity_label=str(params.get("intensity_label", US_AVERAGE.label)),
-            devices_per_server=int(params.get("devices_per_server", 2)),  # type: ignore[arg-type]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UnitError(f"malformed sweep spec: {exc}") from exc
+    return SweepSpec(
+        ranges=ranges,
+        sampling=str(params.get("sampling", _DEFAULT.sampling)),
+        intensity_label=str(params.get("intensity_label", _DEFAULT.intensity_label)),
+        **knobs.read_knobs(params, _SPEC_KNOBS),  # type: ignore[arg-type]
+    )

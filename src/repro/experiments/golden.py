@@ -108,11 +108,6 @@ def load_baselines(path: Path) -> dict[str, object]:
     return data
 
 
-def _relative_error(expected: float, actual: float) -> float:
-    """Relative error vs the expected value (absolute error when expected=0)."""
-    return ledger._relative_error(expected, actual)
-
-
 # ---------------------------------------------------------------------------
 # Result/record -> claim bundle bridges
 # ---------------------------------------------------------------------------

@@ -568,7 +568,7 @@ def _cache_command(args: argparse.Namespace) -> int:
 
 def _parse_sweep_ranges(entries: Sequence[str]) -> tuple:
     """``--param NAME=LO:HI[:POINTS]`` flags as ``ParameterRange`` objects."""
-    from repro.core.sweep import ParameterRange
+    from repro.core.sweep import read_range
     from repro.errors import UnitError
 
     ranges = []
@@ -580,12 +580,8 @@ def _parse_sweep_ranges(entries: Sequence[str]) -> tuple:
                 "--param must look like NAME=LO:HI or NAME=LO:HI:POINTS, "
                 f"got {entry!r}"
             )
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-            points = int(parts[2]) if len(parts) == 3 else 5
-        except ValueError:
-            raise UnitError(f"non-numeric --param value in {entry!r}") from None
-        ranges.append(ParameterRange(name, lo, hi, points))
+        lo, hi, points = parts if len(parts) == 3 else (*parts, 5)
+        ranges.append(read_range(name, lo, hi, points))
     return tuple(ranges)
 
 

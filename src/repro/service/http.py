@@ -159,11 +159,6 @@ async def _read_request(reader: asyncio.StreamReader) -> Request | None:
     )
 
 
-def json_response(status: int, payload_bytes: bytes, close: bool = False) -> Response:
-    """Shorthand for a JSON response from pre-rendered bytes."""
-    return Response(status=status, body=payload_bytes, close=close)
-
-
 @dataclass
 class _Connection:
     writer: asyncio.StreamWriter

@@ -14,9 +14,12 @@ a validated, *normalized* bundle of parameters with
   service, the conformance tests, and any direct library caller —
   this is what makes service responses *byte-identical* to direct calls.
 
-The numeric parameters of each query kind are declared once, as a table
-of :class:`Knob` rows (:data:`KNOBS`); one loop (:func:`_read_knobs`)
-coerces, range-checks and defaults them for every parser.
+The numeric parameters of each query kind are one table of
+:class:`~repro.core.knobs.Knob` rows (:data:`KNOBS`): the rows the library
+specs check themselves against, narrowed where the service caps a query's
+work.  One loop (:func:`~repro.core.knobs.read_knobs`) coerces,
+range-checks and defaults them for every parser, so a parser accepts a
+value exactly when the library can run it.
 
 Queries travel to pool workers as ``(kind, params_json)`` pairs and are
 re-parsed there (:func:`execute_query_task`), so the worker boundary only
@@ -31,15 +34,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from repro.carbon.intensity import US_AVERAGE, CarbonIntensity, intensity_for_region, regions
 from repro.carbon.stream import StreamSpec
+from repro.core import knobs
 from repro.core.canonical import canonical_bytes, compact_dumps
+from repro.core.knobs import Knob, read_knobs
+from repro.core.scenario import Scenario, evaluate_work
+from repro.core.sweep import SweepSpec, run_sweep, spec_from_params, spec_to_params, sweep_chunk
+from repro.energy.devices import catalog, device
 from repro.errors import QueryError, UnitError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.sweep import SweepSpec
+from repro.workloads.genai import (
+    LLMServingSpec,
+    LLMTrainingSpec,
+    default_genai_context,
+    default_serving_spec,
+    inventory_spec,
+    serving_footprint,
+    training_footprint,
+)
 
 #: Bounds keeping a single query's work bounded (the service answers
 #: interactive traffic; year-scale sweeps belong to the CLI runner).
@@ -75,60 +89,11 @@ def render_payload(payload: Mapping[str, object]) -> bytes:
 
 
 # -- knobs -------------------------------------------------------------------
-# GET requests deliver every parameter as a string; POST bodies deliver
-# JSON numbers.  The coercion accepts both and rejects everything else.
-
-
-class Knob(NamedTuple):
-    """One numeric query parameter: its range, its default and its type.
-
-    A value must lie in ``[lo, hi]``, or in ``(lo, hi]`` when ``lo_open``;
-    an ``integer`` knob also rejects fractional values.  A knob left out
-    of a query takes ``default`` exactly as written (``None``: no
-    default), so every default is a constant of the knob's own type.
-    """
-
-    lo: float
-    hi: float
-    default: float | None
-    lo_open: bool = False
-    integer: bool = False
-
-
-def _as_number(name: str, value: object, integer: bool = False) -> float:
-    if isinstance(value, bool):
-        raise QueryError(f"parameter {name!r} must be a number, got a boolean")
-    if isinstance(value, (int, float, str)):
-        try:
-            out = float(value)
-        except ValueError:
-            raise QueryError(f"parameter {name!r} must be a number, got {value!r}") from None
-        except OverflowError:  # an integer beyond the float range
-            out = math.inf
-    else:
-        raise QueryError(f"parameter {name!r} must be a number, got {type(value).__name__}")
-    if not math.isfinite(out):
-        raise QueryError(f"parameter {name!r} must be finite, got {out!r}")
-    if integer:
-        if out != int(out):
-            raise QueryError(f"parameter {name!r} must be an integer, got {out!r}")
-        return int(out)
-    return out
-
-
-def _read_knobs(params: Mapping[str, object], table: Mapping[str, Knob]) -> dict[str, object]:
-    """Every knob of ``table``, coerced and range-checked, or its default."""
-    values: dict[str, object] = {}
-    for name, (lo, hi, default, lo_open, integer) in table.items():
-        if name not in params:
-            values[name] = default
-            continue
-        value = _as_number(name, params[name], integer)
-        if value < lo or value > hi or (lo_open and value == lo):
-            bracket = "(" if lo_open else "["
-            raise QueryError(f"parameter {name!r} must be in {bracket}{lo}, {hi}], got {value}")
-        values[name] = value
-    return values
+# Each numeric parameter is a row of :mod:`repro.core.knobs` — the row the
+# library spec checks itself against — narrowed only where the service caps
+# a query's work.  GET requests deliver every parameter as a string and POST
+# bodies deliver JSON numbers; :func:`~repro.core.knobs.read_knobs` accepts
+# both and rejects everything else.
 
 
 def _reject_unknown(kind: str, params: Mapping[str, object], allowed: Iterable[str]) -> None:
@@ -140,9 +105,13 @@ def _reject_unknown(kind: str, params: Mapping[str, object], allowed: Iterable[s
         )
 
 
-#: Grid intensity, shared by footprint and genai queries.  ``region``
+#: Library rows with the library's defaults, which the tables below narrow.
+_SCENARIO = knobs.with_defaults(knobs.SCENARIO, Scenario())
+_SWEEP = knobs.with_defaults(knobs.SWEEP, SweepSpec())
+
+#: Grid intensity, shared by footprint, genai and sweep queries.  ``region``
 #: names a reference intensity instead; with neither, the US average.
-_INTENSITY_KNOB = {"intensity_kg_per_kwh": Knob(0.0, 10.0, US_AVERAGE.kg_per_kwh)}
+_INTENSITY_KNOB = {"intensity_kg_per_kwh": _SWEEP["intensity_kg_per_kwh"]._replace(hi=10.0)}
 _INTENSITY_PARAMS = ("intensity_kg_per_kwh", "region", "intensity_label")
 
 
@@ -156,7 +125,7 @@ def _intensity(params: Mapping[str, object]) -> tuple[float, str]:
             raise QueryError(f"unknown region {region!r}; known: {', '.join(regions())}")
         intensity = intensity_for_region(region)
         return intensity.kg_per_kwh, intensity.label
-    kg_per_kwh = _read_knobs(params, _INTENSITY_KNOB)["intensity_kg_per_kwh"]
+    kg_per_kwh = read_knobs(params, _INTENSITY_KNOB)["intensity_kg_per_kwh"]
     if "intensity_kg_per_kwh" in params:
         return kg_per_kwh, str(params.get("intensity_label", "custom"))
     return kg_per_kwh, US_AVERAGE.label
@@ -164,9 +133,9 @@ def _intensity(params: Mapping[str, object]) -> tuple[float, str]:
 
 #: Scenario knobs shared by footprint and genai queries.
 _SCENARIO_KNOBS = {
-    "utilization": Knob(0.0, 1.0, 0.45, lo_open=True),
-    "pue": Knob(1.0, 10.0, 1.10),
-    "lifetime_years": Knob(0.0, 100.0, 4.0, lo_open=True),
+    "utilization": _SCENARIO["utilization"],
+    "pue": _SCENARIO["pue"]._replace(hi=10.0),
+    "lifetime_years": _SCENARIO["lifetime_years"]._replace(hi=100.0),
 }
 
 
@@ -235,11 +204,13 @@ def parse_experiment(params: Mapping[str, object]) -> ExperimentQuery:
 # ---------------------------------------------------------------------------
 
 _FOOTPRINT_KNOBS: dict[str, Knob] = {
-    "busy_device_hours": Knob(0.0, MAX_BUSY_DEVICE_HOURS, None),  # required
+    "busy_device_hours": _SWEEP["busy_device_hours"]._replace(
+        hi=MAX_BUSY_DEVICE_HOURS, default=None  # required
+    ),
     **_SCENARIO_KNOBS,
-    "board_power_fraction": Knob(0.0, 1.0, 0.95, lo_open=True),
-    "infrastructure_factor": Knob(1.0, 100.0, 3.0),
-    "devices_per_server": Knob(1, 1024, 2, integer=True),
+    "board_power_fraction": _SCENARIO["board_power_fraction"],
+    "infrastructure_factor": _SCENARIO["infrastructure_embodied_factor"]._replace(hi=100.0),
+    "devices_per_server": _SCENARIO["devices_per_server"],
 }
 _FOOTPRINT_PARAMS = (*_FOOTPRINT_KNOBS, *_INTENSITY_PARAMS)
 
@@ -267,8 +238,6 @@ class FootprintQuery(Query):
     kind = "footprint"
 
     def execute(self) -> dict[str, object]:
-        from repro.core.scenario import Scenario, evaluate_work
-
         scenario = Scenario(
             intensity=CarbonIntensity(self.intensity_kg_per_kwh, self.intensity_label),
             utilization=self.utilization,
@@ -301,9 +270,9 @@ def parse_footprint(params: Mapping[str, object]) -> FootprintQuery:
     _reject_unknown("footprint", params, _FOOTPRINT_PARAMS)
     if "busy_device_hours" not in params:
         raise QueryError("footprint query requires 'busy_device_hours'")
-    knobs = _read_knobs(params, _FOOTPRINT_KNOBS)
+    values = read_knobs(params, _FOOTPRINT_KNOBS)
     kg_per_kwh, label = _intensity(params)
-    return FootprintQuery(intensity_kg_per_kwh=kg_per_kwh, intensity_label=label, **knobs)
+    return FootprintQuery(intensity_kg_per_kwh=kg_per_kwh, intensity_label=label, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +282,24 @@ def parse_footprint(params: Mapping[str, object]) -> FootprintQuery:
 #: The knobs a ``model`` inventory name stands for (training only).
 _MODEL_KNOBS = ("n_params", "n_tokens", "mfu", "n_accelerators")
 
+#: The service's own defaults: the ``llm-7b`` inventory run, and the
+#: library's default serving deployment.
+_TRAINING = knobs.with_defaults(knobs.LLM_TRAINING, inventory_spec("llm-7b"))
+_SERVING = knobs.with_defaults(knobs.LLM_SERVING, default_serving_spec())
 _GENAI_KNOBS: dict[str, Knob] = {
-    "n_params": Knob(0.0, 1e13, 7.0e9, lo_open=True),
-    "n_tokens": Knob(0.0, 1e15, 1.4e11, lo_open=True),
-    "mfu": Knob(0.0, 0.95, 0.40, lo_open=True),
-    "n_accelerators": Knob(1, 65536, 512, integer=True),
-    "peak_qps": Knob(0.0, 1e6, 100.0, lo_open=True),
-    "tokens_per_request": Knob(0.0, 1e5, 256.0, lo_open=True),
-    "context_tokens": Knob(0.0, 32768.0, 1024.0, lo_open=True),
-    "batch_size": Knob(1, 512, 16, integer=True),
-    "hours": Knob(1, MAX_HORIZON_HOURS, 168, integer=True),
-    "trough_fraction": Knob(0.05, 0.95, 0.68),
-    "demand_seed": Knob(0, 2**32 - 1, 0, integer=True),
+    "n_params": _TRAINING["n_params"]._replace(hi=1e13),
+    "n_tokens": _TRAINING["n_tokens"]._replace(hi=1e15),
+    "mfu": _TRAINING["mfu"]._replace(hi=0.95),
+    "n_accelerators": _TRAINING["n_accelerators"]._replace(hi=65536),
+    "peak_qps": _SERVING["peak_qps"]._replace(hi=1e6),
+    "tokens_per_request": _SERVING["tokens_per_request"]._replace(hi=1e5),
+    "context_tokens": _SERVING["context_tokens"]._replace(hi=32768.0),
+    "batch_size": _SERVING["batch_size"]._replace(hi=512),
+    "hours": _SERVING["hours"]._replace(hi=MAX_HORIZON_HOURS),
+    "trough_fraction": _SERVING["trough_fraction"]._replace(lo=0.05, hi=0.95, lo_open=False),
+    "demand_seed": _SERVING["demand_seed"],
     **_SCENARIO_KNOBS,
-    "devices_per_server": Knob(1, 1024, 8, integer=True),
+    "devices_per_server": _SCENARIO["devices_per_server"]._replace(default=8),
 }
 _GENAI_PARAMS = ("workload", "model", "accelerator", *_GENAI_KNOBS, *_INTENSITY_PARAMS)
 
@@ -381,9 +354,6 @@ class GenAIQuery(Query):
         return params
 
     def _spec(self):
-        from repro.energy.devices import device
-        from repro.workloads.genai import LLMTrainingSpec, LLMServingSpec
-
         accelerator = device(self.accelerator)
         if self.workload == "llm-training":
             return LLMTrainingSpec(
@@ -408,8 +378,6 @@ class GenAIQuery(Query):
         )
 
     def _context(self):
-        from repro.workloads.genai import default_genai_context
-
         return default_genai_context(
             intensity=CarbonIntensity(self.intensity_kg_per_kwh, self.intensity_label),
             pue=self.pue,
@@ -419,8 +387,6 @@ class GenAIQuery(Query):
         )
 
     def execute(self) -> dict[str, object]:
-        from repro.workloads.genai import serving_footprint, training_footprint
-
         spec = self._spec()
         if self.workload == "llm-training":
             footprint = training_footprint(spec, self._context())
@@ -463,8 +429,6 @@ def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
         )
 
     if "model" in params:
-        from repro.workloads.genai import inventory_spec
-
         if workload != "llm-training":
             raise QueryError("parameter 'model' applies only to workload 'llm-training'")
         overridden = sorted(set(_MODEL_KNOBS) & set(params))
@@ -476,15 +440,10 @@ def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
         model = params["model"]
         if not isinstance(model, str):
             raise QueryError(f"parameter 'model' must be a string, got {model!r}")
-        try:
-            inventory = inventory_spec(model)
-        except UnitError as exc:
-            raise QueryError(str(exc)) from None
+        inventory = inventory_spec(model)
         params = {**params, **{name: getattr(inventory, name) for name in _MODEL_KNOBS}}
 
     accelerator = params.get("accelerator", "NVIDIA A100 (tensor)")
-    from repro.energy.devices import catalog, device
-
     if not isinstance(accelerator, str) or accelerator not in catalog():
         raise QueryError(
             f"unknown accelerator {accelerator!r}; known: {', '.join(catalog())}"
@@ -492,15 +451,12 @@ def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
     if device(accelerator).peak_tflops <= 0.0:
         raise QueryError(f"accelerator {accelerator!r} has no peak throughput")
 
-    knobs = _read_knobs(params, _GENAI_KNOBS)
+    values = read_knobs(params, _GENAI_KNOBS)
     kg_per_kwh, label = _intensity(params)
     query = GenAIQuery(
-        workload, accelerator, intensity_kg_per_kwh=kg_per_kwh, intensity_label=label, **knobs
+        workload, accelerator, intensity_kg_per_kwh=kg_per_kwh, intensity_label=label, **values
     )
-    try:
-        spec = query._spec()  # surface KV-cache/memory violations as 400s at parse time
-    except UnitError as exc:
-        raise QueryError(str(exc)) from None
+    spec = query._spec()  # surface KV-cache/memory violations as 400s at parse time
     if workload == "llm-training" and not spec.wall_clock_hours <= MAX_TRAINING_HOURS:
         raise QueryError(
             f"training run would last {spec.wall_clock_hours:.6g} wall-clock hours; "
@@ -580,7 +536,7 @@ def parse_schedule(params: Mapping[str, object]) -> ScheduleQuery:
     if "capacity_kw" in params and params["capacity_kw"] is None:
         # An explicit null spells "no power cap", as leaving the knob out does.
         params = {name: value for name, value in params.items() if name != "capacity_kw"}
-    query = ScheduleQuery(**_read_knobs(params, _SCHEDULE_KNOBS))
+    query = ScheduleQuery(**read_knobs(params, _SCHEDULE_KNOBS))
     if query.horizon_hours > query.grid_hours:
         raise QueryError(
             f"'horizon_hours' ({query.horizon_hours}) must not exceed 'grid_hours' "
@@ -594,16 +550,16 @@ def parse_schedule(params: Mapping[str, object]) -> ScheduleQuery:
 # /sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_PARAMS: tuple[str, ...] = (
-    "busy_device_hours",
-    "ranges",
-    "sampling",
-    "n_points",
-    "seed",
-    "intensity_kg_per_kwh",
-    "intensity_label",
-    "devices_per_server",
-)
+#: ``/sweep`` spec knobs, with footprint's caps; the ranges are read
+#: through :data:`repro.core.knobs.SWEEP_RANGES` (see docs/SWEEPS.md).
+_SWEEP_KNOBS: dict[str, Knob] = {
+    "busy_device_hours": _FOOTPRINT_KNOBS["busy_device_hours"],  # required
+    "n_points": _SWEEP["n_points"],
+    "seed": _SWEEP["seed"],
+    **_INTENSITY_KNOB,
+    "devices_per_server": _SWEEP["devices_per_server"],
+}
+_SWEEP_PARAMS = (*_SWEEP_KNOBS, "ranges", "sampling", "intensity_label")
 
 
 @dataclass(frozen=True)
@@ -618,18 +574,14 @@ class SweepQuery(Query):
     conformance suite compares those bytes against.
     """
 
-    spec: "SweepSpec"
+    spec: SweepSpec
 
     kind = "sweep"
 
     def to_params(self) -> dict[str, object]:
-        from repro.core.sweep import spec_to_params
-
         return spec_to_params(self.spec)
 
     def execute(self) -> dict[str, object]:
-        from repro.core.sweep import run_sweep
-
         return run_sweep(self.spec).to_payload()
 
 
@@ -639,20 +591,17 @@ def parse_sweep(params: Mapping[str, object]) -> SweepQuery:
     Accepts the :func:`repro.core.sweep.spec_to_params` document; the
     ``ranges`` list may arrive JSON-encoded (query-string transport).
     """
-    from repro.core.sweep import spec_from_params
-
     _reject_unknown("sweep", params, _SWEEP_PARAMS)
-    normalized = dict(params)
+    if "busy_device_hours" not in params:
+        raise QueryError("sweep query requires 'busy_device_hours'")
+    normalized = {**params, **read_knobs(params, _SWEEP_KNOBS)}
     ranges = normalized.get("ranges")
     if isinstance(ranges, str):
         try:
             normalized["ranges"] = json.loads(ranges)
         except json.JSONDecodeError as exc:
             raise QueryError(f"parameter 'ranges' is not valid JSON: {exc}") from None
-    try:
-        spec = spec_from_params(normalized)
-    except UnitError as exc:
-        raise QueryError(str(exc)) from None
+    spec = spec_from_params(normalized)
     if spec.total_points() > MAX_SERVICE_SWEEP_POINTS:
         raise QueryError(
             f"sweep would evaluate {spec.total_points()} points; the service "
@@ -689,8 +638,6 @@ def execute_sweep_chunk_task(
     kills only the first try of a chunk and the manager's retry resumes
     the sweep from the chunk that died.
     """
-    from repro.core.sweep import spec_from_params, sweep_chunk
-
     spec = spec_from_params(json.loads(params_json))
     chunk, delta, substrates = _run_with_hooks(
         "sweep", attempt, in_worker, lambda: sweep_chunk(spec, start, stop)
@@ -702,28 +649,14 @@ def execute_sweep_chunk_task(
 # /stream
 # ---------------------------------------------------------------------------
 
-#: ``/stream`` spec knobs, with the library's defaults;
-#: :class:`~repro.carbon.stream.StreamSpec` re-checks the spec as a whole.
-_STREAM = StreamSpec()
+#: ``/stream`` spec knobs: :class:`~repro.carbon.stream.StreamSpec`'s rows
+#: and defaults, with a year's horizon and 31-bit seeds.
+_STREAM = knobs.with_defaults(knobs.STREAM, StreamSpec())
 _STREAM_KNOBS: dict[str, Knob] = {
-    "hours": Knob(48, MAX_SERVICE_STREAM_HOURS, _STREAM.hours, integer=True),
-    "grid_seed": Knob(0, 2**31 - 1, _STREAM.grid_seed, integer=True),
-    "feed_seed": Knob(0, 2**31 - 1, _STREAM.feed_seed, integer=True),
-    "window_hours": Knob(1, 168, _STREAM.window_hours, integer=True),
-    "forecast_horizon_hours": Knob(1, 168, _STREAM.forecast_horizon_hours, integer=True),
-    "max_late_hours": Knob(1, 72, _STREAM.max_late_hours, integer=True),
-    "max_revision_lag_hours": Knob(1, 168, _STREAM.max_revision_lag_hours, integer=True),
-    "max_stall_hours": Knob(1, 168, _STREAM.max_stall_hours, integer=True),
-    "stall_detect_hours": Knob(1, 168, _STREAM.stall_detect_hours, integer=True),
-    "load_kw": Knob(0.0, 1e6, _STREAM.load_kw),
-    "load_diurnal_fraction": Knob(0.0, 1.0, _STREAM.load_diurnal_fraction),
-    "pue": Knob(1.0, 10.0, _STREAM.pue),
-    "late_probability": Knob(0.0, 1.0, _STREAM.late_probability),
-    "revision_probability": Knob(0.0, 1.0, _STREAM.revision_probability),
-    "revision_noise": Knob(0.0, 1.0, _STREAM.revision_noise),
-    "stall_probability": Knob(0.0, 0.5, _STREAM.stall_probability),
-    "defer_margin": Knob(0.0, 1.0, _STREAM.defer_margin),
-    "min_powered_fraction": Knob(0.0, 1.0, _STREAM.min_powered_fraction),
+    **_STREAM,
+    "hours": _STREAM["hours"]._replace(hi=MAX_SERVICE_STREAM_HOURS),
+    "grid_seed": _STREAM["grid_seed"]._replace(hi=2**31 - 1),
+    "feed_seed": _STREAM["feed_seed"]._replace(hi=2**31 - 1),
 }
 
 #: ``/stream`` transport knobs: they select *which delta* of a stream to
@@ -768,11 +701,7 @@ class StreamQuery(Query):
 def parse_stream(params: Mapping[str, object]) -> StreamQuery:
     """Validate ``stream`` query parameters into a :class:`StreamQuery`."""
     _reject_unknown("stream", params, _STREAM_KNOBS)
-    try:
-        spec = StreamSpec(**_read_knobs(params, _STREAM_KNOBS))
-    except UnitError as exc:
-        raise QueryError(str(exc)) from None
-    return StreamQuery(spec)
+    return StreamQuery(StreamSpec(**read_knobs(params, _STREAM_KNOBS)))
 
 
 def parse_stream_request(
@@ -783,7 +712,10 @@ def parse_stream_request(
     The endpoint serves the delta the transport knobs select; it and the
     fabric router both key the stream on the spec parameters alone.
     """
-    transport = _read_knobs(params, STREAM_TRANSPORT_KNOBS)
+    try:
+        transport = read_knobs(params, STREAM_TRANSPORT_KNOBS)
+    except UnitError as exc:
+        raise QueryError(str(exc)) from None
     spec = {name: value for name, value in params.items() if name not in transport}
     return parse_query("stream", spec), transport
 
@@ -794,6 +726,7 @@ KNOBS: dict[str, dict[str, Knob]] = {
     "footprint": {**_FOOTPRINT_KNOBS, **_INTENSITY_KNOB},
     "genai": {**_GENAI_KNOBS, **_INTENSITY_KNOB},
     "schedule": _SCHEDULE_KNOBS,
+    "sweep": _SWEEP_KNOBS,
     "stream": _STREAM_KNOBS,
 }
 
@@ -823,7 +756,10 @@ def parse_query(kind: str, params: Mapping[str, object]) -> Query:
         raise QueryError(
             f"unknown query kind {kind!r}; known: {', '.join(QUERY_KINDS)}"
         ) from None
-    return parser(params)
+    try:
+        return parser(params)
+    except UnitError as exc:  # a knob row or a library rule refused the query
+        raise QueryError(str(exc)) from None
 
 
 def execute_query_task(kind: str, params_json: str, in_worker: bool = True) -> dict[str, object]:

@@ -470,11 +470,11 @@ def check_fifo_busy_conservation(
 def _sweep_axis(spec: "SweepSpec", name: str, points: int = 16) -> np.ndarray:
     """A sorted probe axis for ``name``: the spec's own range when swept,
     the full spec-level bounds otherwise."""
-    from repro.core.sweep import PARAMETER_BOUNDS
+    from repro.core.knobs import SWEEP_RANGES
 
     lo, hi = next(
         ((r.lo, r.hi) for r in spec.ranges if r.name == name),
-        PARAMETER_BOUNDS[name],
+        SWEEP_RANGES[name][:2],
     )
     return np.linspace(lo, hi, points)
 

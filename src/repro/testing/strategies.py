@@ -306,9 +306,10 @@ def fleet_configs(draw) -> dict[str, int]:
 @st.composite
 def parameter_ranges(draw, name: str) -> "ParameterRange":
     """A valid :class:`~repro.core.sweep.ParameterRange` for ``name``."""
-    from repro.core.sweep import PARAMETER_BOUNDS, ParameterRange
+    from repro.core.knobs import SWEEP_RANGES
+    from repro.core.sweep import ParameterRange
 
-    bound_lo, bound_hi = PARAMETER_BOUNDS[name]
+    bound_lo, bound_hi = SWEEP_RANGES[name][:2]
     lo = draw(finite_floats(bound_lo, bound_hi))
     hi = draw(finite_floats(lo, bound_hi))
     return ParameterRange(name, lo, hi, points=draw(st.integers(1, 4)))
@@ -482,17 +483,27 @@ def service_query_params(draw, kind: str) -> dict[str, object]:
     (its default applies) or drawn across its full declared range, as a
     JSON number or as its query-string spelling.  Footprint and genai
     queries may name a ``region`` instead of an intensity, and genai
-    training queries a ``model``.  Every draw obeys the tables; cross-knob
-    rules (a schedule horizon past its grid, a KV cache past device
-    memory) may still reject it, which the contract allows.
+    training queries a ``model``; a sweep draws small ranges
+    (:func:`parameter_ranges`) and its sampling.  Every draw obeys the
+    tables; cross-knob rules (a schedule horizon past its grid, a KV cache
+    past device memory, the service's sweep point cap) may still reject
+    it, which the contract allows.
     """
     from repro.carbon.intensity import regions
+    from repro.core.sweep import SWEEP_PARAMETERS
     from repro.service.queries import KNOBS
     from repro.workloads.genai import MODEL_INVENTORY
 
     values: dict[str, object] = {}
     if kind == "genai":
         values["workload"] = draw(st.sampled_from(("llm-training", "llm-serving")))
+    if kind == "sweep":
+        names = draw(st.lists(st.sampled_from(SWEEP_PARAMETERS), min_size=1, max_size=3, unique=True))
+        values["ranges"] = [
+            {"name": r.name, "lo": r.lo, "hi": r.hi, "points": r.points}
+            for r in (draw(parameter_ranges(name)) for name in names)
+        ]
+        values["sampling"] = draw(st.sampled_from(("grid", "sobol")))
     for name, (lo, hi, _default, lo_open, integer) in KNOBS[kind].items():
         if name == "busy_device_hours" or draw(st.booleans()):
             if integer:

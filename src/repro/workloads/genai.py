@@ -22,10 +22,11 @@ split) with two parameterized workload families:
   effective batch, and per-token energy.  The fleet view drives
   :func:`repro.fleet.autoscale.autoscale_tier`.
 
-Both spec constructors validate every knob with structured
-:class:`~repro.errors.UnitError` messages (finite, sign, range), so the
-Hypothesis strategies explore the interior of the valid space and the
-service layer can surface precise 400s.
+Both spec constructors check every numeric knob against its row in
+:mod:`repro.core.knobs` (the rows the service reads too), so a bad knob
+is one structured :class:`~repro.errors.UnitError` whose text the service
+answers as its 400, and the Hypothesis strategies explore the interior of
+the valid space.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.carbon.embodied import AmortizationPolicy, GPU_SERVER_EMBODIED
 from repro.carbon.intensity import US_AVERAGE
+from repro.core import knobs
 from repro.core.context import AccountingContext
 from repro.core.quantities import Carbon, Energy
 from repro.core.series import HourlySeries
@@ -66,32 +68,6 @@ __all__ = [
     "LifetimeCrossover",
     "scale_qps",
 ]
-
-
-def _finite(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        raise UnitError(f"{name} must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise UnitError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
-def _positive(name: str, value: float) -> float:
-    if _finite(name, value) <= 0:
-        raise UnitError(f"{name} must be positive, got {value}")
-    return float(value)
-
-
-def _non_negative(name: str, value: float) -> float:
-    if _finite(name, value) < 0:
-        raise UnitError(f"{name} must be non-negative, got {value}")
-    return float(value)
-
-
-def _unit_open(name: str, value: float) -> float:
-    if not (0.0 < _finite(name, value) <= 1.0):
-        raise UnitError(f"{name} must be in (0, 1], got {value}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +102,13 @@ class LLMTrainingSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise UnitError("training spec name must be non-empty")
-        _positive("n_params", self.n_params)
-        _positive("n_tokens", self.n_tokens)
-        _unit_open("mfu", self.mfu)
+        knobs.check_fields(self, knobs.LLM_TRAINING)
         if not isinstance(self.accelerator, DeviceSpec):
             raise UnitError("accelerator must be a DeviceSpec")
         if self.accelerator.peak_tflops <= 0:
             raise UnitError(
                 f"accelerator {self.accelerator.name!r} has no peak throughput "
                 "recorded; training needs peak_tflops > 0"
-            )
-        if not isinstance(self.n_accelerators, int) or self.n_accelerators < 1:
-            raise UnitError(
-                f"n_accelerators must be a positive integer, got {self.n_accelerators!r}"
-            )
-        _unit_open("board_power_fraction", self.board_power_fraction)
-        _positive("checkpoint_interval_hours", self.checkpoint_interval_hours)
-        _non_negative("checkpoint_cost_hours", self.checkpoint_cost_hours)
-        _positive("mtbf_hours", self.mtbf_hours)
-        failed = _non_negative("failed_run_fraction", self.failed_run_fraction)
-        if failed > 10.0:
-            raise UnitError(
-                f"failed_run_fraction must be at most 10 (a 10x program "
-                f"surcharge), got {failed}"
             )
 
     # -- compute ----------------------------------------------------------
@@ -257,10 +217,10 @@ def kv_cache_gb_per_request(
     aspect ratio ``d_model = aspect_ratio * n_layers`` (GPT-3-era models
     sit near 128), giving ``d_model = (n_params * aspect_ratio / 12)^(1/3)``.
     """
-    _positive("n_params", n_params)
-    _positive("context_tokens", context_tokens)
-    _positive("bytes_per_value", bytes_per_value)
-    _positive("aspect_ratio", aspect_ratio)
+    knobs.POSITIVE.check("n_params", n_params)
+    knobs.POSITIVE.check("context_tokens", context_tokens)
+    knobs.POSITIVE.check("bytes_per_value", bytes_per_value)
+    knobs.POSITIVE.check("aspect_ratio", aspect_ratio)
     d_model = (n_params * aspect_ratio / 12.0) ** (1.0 / 3.0)
     n_layers = d_model / aspect_ratio
     bytes_per_token = 2.0 * n_layers * d_model * bytes_per_value
@@ -304,8 +264,7 @@ class LLMServingSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise UnitError("serving spec name must be non-empty")
-        _positive("n_params", self.n_params)
-        _positive("peak_qps", self.peak_qps)
+        knobs.check_fields(self, knobs.LLM_SERVING)
         if not isinstance(self.accelerator, DeviceSpec):
             raise UnitError("accelerator must be a DeviceSpec")
         if self.accelerator.memory_gb <= 0:
@@ -313,22 +272,6 @@ class LLMServingSpec:
                 f"accelerator {self.accelerator.name!r} has no memory capacity "
                 "recorded; serving needs memory_gb > 0"
             )
-        _positive("tokens_per_request", self.tokens_per_request)
-        _positive("context_tokens", self.context_tokens)
-        if self.context_tokens < 1.0:  # can round the KV cache below to zero
-            raise UnitError(f"context_tokens must be at least 1, got {self.context_tokens}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise UnitError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
-        _positive("bytes_per_param", self.bytes_per_param)
-        _positive("kv_bytes_per_value", self.kv_bytes_per_value)
-        _positive("peak_tokens_per_s", self.peak_tokens_per_s)
-        _positive("half_saturation_batch", self.half_saturation_batch)
-        _unit_open("board_power_fraction", self.board_power_fraction)
-        if not isinstance(self.hours, int) or self.hours < 1:
-            raise UnitError(f"hours must be a positive integer, got {self.hours!r}")
-        _unit_open("trough_fraction", self.trough_fraction)
         if self.weights_gb >= self.accelerator.memory_gb:
             raise UnitError(
                 f"model weights ({self.weights_gb:.1f} GB) do not fit in "
@@ -683,5 +626,5 @@ def default_serving_spec(
 
 def scale_qps(spec: LLMServingSpec, factor: float) -> LLMServingSpec:
     """The same deployment at ``factor`` x the peak QPS."""
-    _positive("factor", factor)
+    knobs.POSITIVE.check("factor", factor)
     return replace(spec, peak_qps=spec.peak_qps * factor)

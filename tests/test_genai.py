@@ -76,26 +76,32 @@ def serving(**overrides) -> LLMServingSpec:
 class TestSpecValidation:
     BOUNDARY_TABLE = [
         # (constructor, overrides, message fragment)
-        (training, {"n_params": -1.0}, "n_params must be positive"),
-        (training, {"n_tokens": float("nan")}, "n_tokens must be finite"),
-        (training, {"mfu": 0.0}, "mfu must be in (0, 1]"),
-        (training, {"mfu": 1.5}, "mfu must be in (0, 1]"),
-        (training, {"n_accelerators": 0}, "n_accelerators must be a positive integer"),
+        (training, {"n_params": -1.0}, "parameter 'n_params' must be in (0.0, inf], got -1.0"),
+        (training, {"n_tokens": float("nan")}, "parameter 'n_tokens' must be finite, got nan"),
+        (training, {"mfu": 0.0}, "parameter 'mfu' must be in (0.0, 1.0], got 0.0"),
+        (training, {"mfu": 1.5}, "parameter 'mfu' must be in (0.0, 1.0], got 1.5"),
+        (training, {"n_accelerators": 0}, "parameter 'n_accelerators' must be in [1, inf], got 0"),
         (training, {"checkpoint_interval_hours": 0.0},
-         "checkpoint_interval_hours must be positive"),
+         "parameter 'checkpoint_interval_hours' must be in (0.0, inf], got 0.0"),
         (training, {"checkpoint_cost_hours": -0.1},
-         "checkpoint_cost_hours must be non-negative"),
-        (training, {"mtbf_hours": float("inf")}, "mtbf_hours must be finite"),
-        (training, {"failed_run_fraction": 11.0}, "at most 10"),
-        (serving, {"peak_qps": 0.0}, "peak_qps must be positive"),
-        (serving, {"batch_size": 0}, "batch_size must be a positive integer"),
-        (serving, {"hours": 0}, "hours must be a positive integer"),
-        (serving, {"trough_fraction": 0.0}, "trough_fraction must be in (0, 1]"),
+         "parameter 'checkpoint_cost_hours' must be in [0.0, inf], got -0.1"),
+        (training, {"mtbf_hours": float("inf")}, "parameter 'mtbf_hours' must be finite, got inf"),
+        (training, {"failed_run_fraction": 11.0},
+         "parameter 'failed_run_fraction' must be in [0.0, 10.0], got 11.0"),
+        (serving, {"peak_qps": 0.0}, "parameter 'peak_qps' must be in (0.0, inf], got 0.0"),
+        (serving, {"batch_size": 0}, "parameter 'batch_size' must be in [1, inf], got 0"),
+        (serving, {"hours": 0}, "parameter 'hours' must be in [1, inf], got 0"),
+        (serving, {"trough_fraction": 0.0},
+         "parameter 'trough_fraction' must be in (0.0, 1.0], got 0.0"),
         (serving, {"tokens_per_request": float("-inf")},
-         "tokens_per_request must be finite"),
+         "parameter 'tokens_per_request' must be finite, got -inf"),
         (serving, {"n_params": 4.5e10}, "do not fit"),
         (serving, {"context_tokens": 2.0e5}, "does not fit beside the weights"),
-        (serving, {"context_tokens": 5e-324}, "context_tokens must be at least 1"),
+        (serving, {"context_tokens": 5e-324},
+         "parameter 'context_tokens' must be in [1.0, inf], got 5e-324"),
+        (serving, {"demand_seed": -1}, "parameter 'demand_seed' must be in [0, 4294967295], got -1"),
+        (serving, {"batch_size": 2.5}, "parameter 'batch_size' must be an integer, got 2.5"),
+        (training, {"mfu": True}, "parameter 'mfu' must be a number, got a boolean"),
     ]
 
     @pytest.mark.parametrize(

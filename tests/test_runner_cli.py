@@ -253,6 +253,22 @@ class TestSweepCommand:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--sampling", "sobol", "--points", "8", "--seed", "-1", "--param", "pue=1:2:2"],
+                "parameter 'seed' must be in [0, 4294967295], got -1",
+            ),
+            (["--param", "pue=1:2:2.9"], "parameter 'points' must be an integer, got 2.9"),
+            (["--param", "pue=0.5:2"], "parameter 'pue' must be in [1.0, 10.0], got 0.5"),
+        ],
+    )
+    def test_a_sweep_the_library_cannot_run_exits_2(self, flags, message, capsys):
+        """Sweep knobs go through the library's knob rows: a usage error, not a traceback."""
+        assert main(["sweep", *flags, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_cache_dir_resumes_from_completed_chunks(self, tmp_path, monkeypatch, capsys):
         """A re-run with the same --cache-dir replays chunks from disk."""
         from repro.core.diskcache import CACHE_DIR_ENV_VAR

@@ -7,16 +7,16 @@ reports.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from repro.core import memo
+from repro.core import knobs, memo
 from repro.core.scenario import Scenario, evaluate_work
 from repro.core.sweep import (
     DEFAULT_RANGES,
     MAX_SWEEP_POINTS,
-    PARAMETER_BOUNDS,
     ParameterRange,
     SweepSpec,
     _reference_evaluate_stacked,
@@ -48,10 +48,28 @@ class TestParameterRange:
         [
             ({"name": "tdp_watts", "lo": 1.0, "hi": 2.0}, "unknown sweep parameter"),
             ({"name": "pue", "lo": 2.0, "hi": 1.0}, "lo <= hi"),
-            ({"name": "pue", "lo": 0.5, "hi": 2.0}, "must lie within"),
-            ({"name": "utilization", "lo": 0.5, "hi": 2.0}, "must lie within"),
-            ({"name": "pue", "lo": 1.0, "hi": NAN}, "finite"),
-            ({"name": "pue", "lo": 1.0, "hi": 2.0, "points": 0}, ">= 1 point"),
+            pytest.param(
+                {"name": "pue", "lo": 0.5, "hi": 2.0},
+                re.escape("parameter 'pue' must be in [1.0, 10.0], got 0.5"),
+                id="kwargs2-must lie within",
+            ),
+            pytest.param(
+                {"name": "utilization", "lo": 0.5, "hi": 2.0},
+                re.escape("parameter 'utilization' must be in [0.01, 1.0], got 2.0"),
+                id="kwargs3-must lie within",
+            ),
+            pytest.param(
+                {"name": "pue", "lo": 1.0, "hi": NAN},
+                re.escape("parameter 'pue' must be finite, got nan"),
+                id="kwargs4-finite",
+            ),
+            pytest.param(
+                {"name": "pue", "lo": 1.0, "hi": 2.0, "points": 0},
+                re.escape("parameter 'points' must be in [1, 1000000], got 0"),
+                id="kwargs5->= 1 point",
+            ),
+            ({"name": "pue", "lo": 1.0, "hi": 2.0, "points": 2.5}, "'points' must be an integer"),
+            ({"name": "pue", "lo": True, "hi": 2.0}, "'pue' must be a number, got a boolean"),
         ],
     )
     def test_validation_table(self, kwargs, match):
@@ -63,14 +81,38 @@ class TestSweepSpec:
     @pytest.mark.parametrize(
         "kwargs,match",
         [
-            ({"busy_device_hours": -1.0}, "non-negative"),
-            ({"busy_device_hours": NAN}, "finite"),
-            ({"busy_device_hours": INF}, "finite"),
+            pytest.param(
+                {"busy_device_hours": -1.0},
+                re.escape("parameter 'busy_device_hours' must be in [0.0, inf], got -1.0"),
+                id="kwargs0-non-negative",
+            ),
+            pytest.param(
+                {"busy_device_hours": NAN},
+                re.escape("parameter 'busy_device_hours' must be finite, got nan"),
+                id="kwargs1-finite",
+            ),
+            pytest.param(
+                {"busy_device_hours": INF},
+                re.escape("parameter 'busy_device_hours' must be finite, got inf"),
+                id="kwargs2-finite",
+            ),
             ({"ranges": ()}, "at least one"),
             ({"sampling": "random"}, "grid.*sobol|sobol.*grid"),
-            ({"sampling": "sobol", "n_points": 0}, "n_points"),
-            ({"intensity_kg_per_kwh": -0.1}, "intensity"),
-            ({"devices_per_server": 0}, "devices_per_server"),
+            pytest.param(
+                {"sampling": "sobol", "n_points": 0},
+                re.escape("parameter 'n_points' must be in [1, 1000000], got 0"),
+                id="kwargs5-n_points",
+            ),
+            pytest.param(
+                {"intensity_kg_per_kwh": -0.1},
+                re.escape("parameter 'intensity_kg_per_kwh' must be in [0.0, inf], got -0.1"),
+                id="kwargs6-intensity",
+            ),
+            pytest.param(
+                {"devices_per_server": 0},
+                re.escape("parameter 'devices_per_server' must be in [1, 1024], got 0"),
+                id="kwargs7-devices_per_server",
+            ),
             (
                 {
                     "ranges": (
@@ -80,6 +122,13 @@ class TestSweepSpec:
                 },
                 "duplicate",
             ),
+            (
+                {"n_points": 0},
+                re.escape("parameter 'n_points' must be in [1, 1000000], got 0"),
+            ),
+            ({"seed": -1}, re.escape("parameter 'seed' must be in [0, 4294967295], got -1")),
+            ({"busy_device_hours": True}, "'busy_device_hours' must be a number, got a boolean"),
+            ({"devices_per_server": 2.7}, "'devices_per_server' must be an integer, got 2.7"),
         ],
     )
     def test_validation_table(self, kwargs, match):
@@ -88,7 +137,7 @@ class TestSweepSpec:
 
     def test_grid_cap(self):
         big = tuple(
-            ParameterRange(name, *PARAMETER_BOUNDS[name], points=101)
+            ParameterRange(name, *knobs.SWEEP_RANGES[name][:2], points=101)
             for name in ("pue", "utilization", "lifetime_years")
         )
         with pytest.raises(UnitError, match="cap"):
@@ -199,7 +248,26 @@ class TestStackedKernel:
         with pytest.raises(UnitError, match=match):
             evaluate_work_stacked(100.0, Scenario(), params)
 
-    @pytest.mark.parametrize("busy,match", [(-1.0, "non-negative"), (NAN, "finite"), (INF, "finite")])
+    @pytest.mark.parametrize(
+        "busy,match",
+        [
+            pytest.param(
+                -1.0,
+                re.escape("parameter 'busy_device_hours' must be in [0.0, inf], got -1.0"),
+                id="-1.0-non-negative",
+            ),
+            pytest.param(
+                NAN,
+                re.escape("parameter 'busy_device_hours' must be finite, got nan"),
+                id="nan-finite",
+            ),
+            pytest.param(
+                INF,
+                re.escape("parameter 'busy_device_hours' must be finite, got inf"),
+                id="inf-finite",
+            ),
+        ],
+    )
     def test_bad_busy_hours(self, busy, match):
         with pytest.raises(UnitError, match=match):
             evaluate_work_stacked(busy, Scenario(), {"pue": np.array([1.5])})
