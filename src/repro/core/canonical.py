@@ -24,8 +24,14 @@ __all__ = [
     "canonical_dumps",
     "canonical_bytes",
     "compact_dumps",
+    "compact_members",
+    "compact_object",
     "content_hash",
 ]
+
+#: The one compact encoder (``json.dumps`` with arguments builds a new
+#: encoder on every call).
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_dumps(obj: object) -> str:
@@ -49,7 +55,24 @@ def compact_dumps(obj: object) -> str:
     Used wherever a JSON document *is* an identity — response-cache
     keys, worker task transport, ledger content addressing.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _COMPACT.encode(obj)
+
+
+def compact_members(doc: Mapping[str, object]) -> dict[str, str]:
+    """Each ``"key":value`` member of a document's compact form, by key.
+
+    With :func:`compact_object`, lets a caller that needs two variants of
+    one document (say, with and without one field) encode every value
+    once and assemble both.
+    """
+    encode = _COMPACT.encode
+    return {key: f"{encode(key)}:{encode(value)}" for key, value in doc.items()}
+
+
+def compact_object(members: Mapping[str, str]) -> str:
+    """The compact form of the document whose members these are: equal to
+    ``compact_dumps(doc)`` for ``members == compact_members(doc)``."""
+    return "{" + ",".join(members[key] for key in sorted(members)) + "}"
 
 
 def content_hash(obj: object) -> str:

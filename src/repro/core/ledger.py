@@ -33,12 +33,21 @@ original ``run --json`` / service response bytes.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.core.canonical import canonical_bytes, canonical_dumps, compact_dumps, content_hash
+from repro.core.canonical import (
+    canonical_bytes,
+    canonical_dumps,
+    compact_dumps,
+    compact_members,
+    compact_object,
+    content_hash,
+)
 from repro.core.report import format_table
 from repro.errors import SustainableAIError
 from repro.version import code_version
@@ -82,6 +91,7 @@ _UNIT_SUFFIXES: tuple[tuple[str, str], ...] = (
 )
 
 
+@functools.cache
 def units_for_metric(metric: str) -> str:
     """Best-effort unit label from the repository's metric naming scheme.
 
@@ -166,7 +176,7 @@ class Provenance:
     recorded_at: float | None = None
     source: str = "runner"  # runner | service | golden-import
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
         return content_hash(self.config)
 
@@ -332,6 +342,8 @@ def bundle_from_payload(
         for metric, value in sorted(headline.items())
     )
     config: dict[str, object]
+    #: Service payloads are named by a prefix and their config hash.
+    prefix: str | None = None
     if "experiment_id" in payload:
         experiment_id = str(payload["experiment_id"])
         title = str(payload.get("title", ""))
@@ -343,26 +355,29 @@ def bundle_from_payload(
         }
     elif "spec" in payload:
         config = {"spec": dict(payload["spec"])}  # type: ignore[arg-type]
-        experiment_id = f"sweep:{content_hash(config)[:12]}"
+        prefix = "sweep"
         title = "stacked scenario sweep (service)"
     elif isinstance(payload.get("query"), Mapping):
         config = {"query": dict(payload["query"])}  # type: ignore[arg-type]
-        experiment_id = f"{kind}:{content_hash(config)[:12]}"
+        prefix = kind
         title = f"carbon-query service response ({kind})"
     else:
         return None
+    provenance = default_provenance(
+        config=config,
+        substrates=substrates,
+        invariant_status=invariant_status,
+        recorded_at=recorded_at,
+        source=source,
+    )
+    if prefix is not None:
+        experiment_id = f"{prefix}:{provenance.config_hash[:12]}"
     return Bundle(
         experiment_id=experiment_id,
         title=title,
         status="ok",
         claims=claims,
-        provenance=default_provenance(
-            config=config,
-            substrates=substrates,
-            invariant_status=invariant_status,
-            recorded_at=recorded_at,
-            source=source,
-        ),
+        provenance=provenance,
         payload=dict(payload),
     )
 
@@ -721,9 +736,8 @@ class Ledger:
 
     # -- appends -----------------------------------------------------------
 
-    def _append(self, filename: str, doc: Mapping[str, object]) -> None:
-        if self.directory is None:
-            return
+    def _append(self, filename: str, line: str) -> None:
+        assert self.directory is not None
         path = self.directory / filename
         try:
             handle = open(path, "a", encoding="utf-8")
@@ -731,7 +745,7 @@ class Ledger:
             self.directory.mkdir(parents=True, exist_ok=True)
             handle = open(path, "a", encoding="utf-8")
         with handle:
-            handle.write(compact_dumps(doc) + "\n")
+            handle.write(line + "\n")
 
     def _write_epochs(self) -> None:
         if self.directory is None:
@@ -756,16 +770,24 @@ class Ledger:
 
     def record(self, bundle: Bundle) -> str:
         """Append one bundle (idempotent per content address)."""
-        # One payload serves both the content address (hashed without its
-        # timestamp, as in Bundle.bundle_id) and the journal line.
+        # Each member of the body is encoded once.  The content address
+        # hashes the body without its timestamp, as Bundle.bundle_id does;
+        # the journal line puts the timestamp back.
         body = bundle.to_payload()
-        provenance = body["provenance"]
-        recorded_at = provenance.pop("recorded_at")  # type: ignore[union-attr]
-        bundle_id = content_hash(body)
+        provenance = compact_members(body.pop("provenance"))  # type: ignore[arg-type]
+        members = compact_members(body)
+        stamp = provenance.pop("recorded_at")
+        members["provenance"] = f'"provenance":{compact_object(provenance)}'
+        bundle_id = hashlib.sha256(compact_object(members).encode("utf-8")).hexdigest()
         if bundle_id not in self.bundles:
             self.bundles[bundle_id] = bundle
-            provenance["recorded_at"] = recorded_at  # type: ignore[index]
-            self._append("bundles.jsonl", {"bundle_id": bundle_id, "bundle": body})
+            if self.directory is not None:
+                provenance["recorded_at"] = stamp
+                members["provenance"] = f'"provenance":{compact_object(provenance)}'
+                self._append(
+                    "bundles.jsonl",
+                    f'{{"bundle":{compact_object(members)},"bundle_id":"{bundle_id}"}}',
+                )
         return bundle_id
 
     def record_run(
@@ -787,16 +809,15 @@ class Ledger:
         entry.meta.update(meta or {})
         if recorded_at is not None:
             entry.recorded_at = recorded_at
-        self._append(
-            "runs.jsonl",
-            {
+        if self.directory is not None:
+            doc = {
                 "schema": SCHEMA_VERSION,
                 "run_id": rid,
                 "recorded_at": recorded_at,
                 "experiments": ids,
                 "meta": dict(meta or {}),
-            },
-        )
+            }
+            self._append("runs.jsonl", compact_dumps(doc))
         return rid
 
     def update_run(

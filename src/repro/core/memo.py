@@ -71,23 +71,36 @@ def set_substrate_corruptor(
 
 
 class SubstrateCollector:
-    """Ordered, deduplicated record of the substrates one computation used.
+    """What one computation did to the substrate caches.
 
-    Each entry is ``(qualname, digest)`` where ``digest`` is the content
-    address of the call (:func:`repro.core.diskcache.entry_digest`) or
-    ``None`` when the arguments had no canonical rendering.  The ledger
+    ``pairs`` is the ordered, deduplicated record of the substrates it
+    used: each entry is ``(qualname, digest)`` where ``digest`` is the
+    content address of the call (:func:`repro.core.diskcache.entry_digest`)
+    or ``None`` when the arguments had no canonical rendering.  The ledger
     records these pairs as claim provenance.
+
+    ``stats`` counts the cache events as they happen, one row of
+    :data:`STAT_FIELDS` per substrate that had any — the rows
+    :func:`stats_delta` would find between snapshots taken around the
+    computation, without taking them.
     """
 
     def __init__(self) -> None:
         self._seen: set[tuple[str, str | None]] = set()
         self.pairs: list[tuple[str, str | None]] = []
+        self.stats: dict[str, dict[str, int]] = {}
 
     def add(self, qualname: str, digest: str | None) -> None:
         pair = (qualname, digest)
         if pair not in self._seen:
             self._seen.add(pair)
             self.pairs.append(pair)
+
+    def count(self, qualname: str, field: str) -> None:
+        row = self.stats.get(qualname)
+        if row is None:
+            row = self.stats[qualname] = dict.fromkeys(STAT_FIELDS, 0)
+        row[field] += 1
 
 
 #: The active substrate-provenance collector, if any.  Installed with
@@ -98,7 +111,8 @@ _COLLECTOR: SubstrateCollector | None = None
 
 @contextlib.contextmanager
 def collect_substrates() -> Iterator[SubstrateCollector]:
-    """Record the content address of every substrate call in the block.
+    """Record the content address and cache events of every substrate call
+    in the block.
 
     Nesting restores the previous collector on exit; only the innermost
     collector observes calls (the runner wraps one experiment at a time,
@@ -169,6 +183,11 @@ def memoized_substrate(func: F) -> F:
     stats = dict.fromkeys(STAT_FIELDS, 0)
     qualname = func.__qualname__
 
+    def count(field: str) -> None:
+        stats[field] += 1
+        if _COLLECTOR is not None:
+            _COLLECTOR.count(qualname, field)
+
     def digest_for(key) -> str | None:
         """Content address of one call, memoized alongside the value cache."""
         try:
@@ -199,12 +218,12 @@ def memoized_substrate(func: F) -> F:
                 path = diskcache.entry_path(cache_dir, qualname, token)
                 hit, value = diskcache.load(path)
                 if hit:
-                    stats["disk_hits"] += 1
+                    count("disk_hits")
                     return _freeze(value)
                 if path.exists():
-                    stats["disk_errors"] += 1
+                    count("disk_errors")
                 else:
-                    stats["disk_misses"] += 1
+                    count("disk_misses")
         value = _freeze(func(*args, **kwargs))
         if path is not None:
             diskcache.store(path, value)
@@ -216,7 +235,7 @@ def memoized_substrate(func: F) -> F:
         try:
             hash(key)
         except TypeError:
-            stats["bypasses"] += 1
+            count("bypasses")
             _warn_bypass(qualname)
             if _COLLECTOR is not None:
                 _COLLECTOR.add(qualname, None)
@@ -227,10 +246,10 @@ def memoized_substrate(func: F) -> F:
         try:
             value = cache[key]
         except KeyError:
-            stats["misses"] += 1
+            count("misses")
             value = cache[key] = build_via_disk(args, kwargs)
         else:
-            stats["hits"] += 1
+            count("hits")
         if _COLLECTOR is not None:
             _COLLECTOR.add(qualname, digest_for(key))
         if _CORRUPTOR is not None:
@@ -264,10 +283,10 @@ def clear_substrate_caches() -> None:
 
 
 # -- stats transport ---------------------------------------------------------
-# Pool workers snapshot their counters before/after each experiment and
-# send the delta back to the parent as plain dicts (JSON- and
-# pickle-friendly), where deltas from every worker are merged into one
-# run-wide view.
+# A worker sends the counter increments of each task back to the parent as
+# plain dicts (JSON- and pickle-friendly), where the deltas from every
+# worker are merged into one run-wide view.  Service tasks take them from
+# their SubstrateCollector; profiled runs diff two snapshots.
 
 
 def stats_snapshot() -> dict[str, dict[str, int]]:

@@ -34,15 +34,15 @@ accounting engine over JSON endpoints:
 Request path: admission control (bounded in-flight count, excess gets a
 structured ``429``) → response LRU (hit serves the exact bytes of the
 original execution) → single-flight (identical in-flight queries share
-one execution) → worker pool (``--workers`` processes; ``0`` = inline)
-with a per-request timeout (``504``) — all over the same
-``AccountingContext``/``HourlySeries`` engine the CLI runner uses, so a
-service answer is byte-identical to the direct library call it fronts.
+one execution) → worker pool (:mod:`repro.service.pool`, ``--workers``
+persistent processes; ``0`` = inline) with a per-request timeout
+(``504``) — all over the same ``AccountingContext``/``HourlySeries``
+engine the CLI runner uses, so a service answer is byte-identical to the
+direct library call it fronts.
 
-Worker executions ship their substrate-cache counter deltas back to the
-parent (:func:`repro.service.queries.execute_query_task`), where they are
-merged into the run-wide view ``/metrics`` reports — the same
-stats-transport contract the experiment runner's pool uses.
+Worker executions ship the substrate-cache counter increments they
+caused back to the parent (:func:`repro.service.queries.execute_query_task`),
+where they are merged into the run-wide view ``/metrics`` reports.
 
 On SIGTERM/SIGINT the service stops accepting, drains in-flight requests
 (bounded by ``drain_timeout_s``), optionally writes a final metrics JSON
@@ -56,8 +56,7 @@ import math
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,6 +81,7 @@ from repro.service.sweeps import DEFAULT_MAX_SWEEPS, SweepManager
 from repro.service.batching import QueryBatcher
 from repro.service.cache import ResponseCache
 from repro.service.http import HttpServer, ProtocolError, Request, Response
+from repro.service.pool import WorkerCrash, WorkerPool
 from repro.telemetry.counters import ServiceCounters
 
 #: Service defaults, shared by the CLI flags and :class:`ServiceConfig`.
@@ -176,7 +176,7 @@ class CarbonQueryService:
         self._seed_golden_epoch()
         self.worker_stats: dict[str, dict[str, int]] = {}
         self.port: int | None = None
-        self._executor: ProcessPoolExecutor | None = None
+        self.pool = WorkerPool(config.workers) if config.workers else None
         self._inline_executor: ThreadPoolExecutor | None = None
         self._active = 0
         self._draining = False
@@ -210,9 +210,8 @@ class CarbonQueryService:
             for job in self.sweeps.jobs.values():
                 if job.task is not None and not job.task.done():
                     job.task.cancel()
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
+            if self.pool is not None:
+                self.pool.close()
             if self._inline_executor is not None:
                 self._inline_executor.shutdown(wait=False, cancel_futures=True)
                 self._inline_executor = None
@@ -273,40 +272,23 @@ class CarbonQueryService:
 
     # -- execution ---------------------------------------------------------
 
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.config.workers)
-        return self._executor
-
-    def _inline(self) -> ThreadPoolExecutor:
+    async def _dispatch(self, fn, *args: object):
+        """``fn(*args)`` in a pool worker, or inline with ``in_worker=False``."""
+        if self.pool is not None:
+            return await self.pool.run(fn, *args)
         # One thread, not to_thread's shared pool: experiment execution
         # seeds the global RNG, so inline queries must never overlap.
         if self._inline_executor is None:
             self._inline_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="carbon-query-inline"
             )
-        return self._inline_executor
+        return await asyncio.get_running_loop().run_in_executor(
+            self._inline_executor, fn, *args, False
+        )
 
     async def _run_task(self, query: queries.Query) -> dict[str, object]:
         params_json = compact_dumps(query.to_params())
-        loop = asyncio.get_running_loop()
-        if self.config.workers == 0:
-            return await loop.run_in_executor(
-                self._inline(), queries.execute_query_task, query.kind, params_json, False
-            )
-        pool = self._pool()
-        try:
-            return await loop.run_in_executor(
-                pool, queries.execute_query_task, query.kind, params_json
-            )
-        except BrokenProcessPool:
-            # The worker died mid-request (e.g. an injected crash).  The
-            # pool is unusable; tear it down so the next query gets a
-            # fresh one, and surface a structured error to the caller.
-            if self._executor is pool:
-                pool.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
-            raise
+        return await self._dispatch(queries.execute_query_task, query.kind, params_json)
 
     async def _execute(self, key: str, query: queries.Query) -> bytes:
         """Batcher execution body: run, merge stats, self-check, cache."""
@@ -392,7 +374,7 @@ class CarbonQueryService:
                     "in the background and be served from cache on retry",
                 ),
             )
-        except BrokenProcessPool:
+        except WorkerCrash:
             return Response(
                 500, _error_body("crash", "worker process died mid-request")
             )

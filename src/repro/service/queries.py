@@ -614,17 +614,17 @@ def parse_sweep(params: Mapping[str, object]) -> SweepQuery:
 def _run_with_hooks(target: str, attempt: int, in_worker: bool, run):
     """Fire the fault hooks for ``target``, then ``run()`` under memo accounting.
 
-    Returns ``(result, substrate-cache counter delta, substrates built)``.
+    Returns ``(result, substrate-cache counter delta, substrates built)``;
+    the delta is what the collector counted while ``run()`` ran.
     """
     from repro.core import memo
     from repro.testing import faults
 
     faults.install_memo_corruption()
     faults.inject(target, attempt=attempt, hard_exit=in_worker)
-    before = memo.stats_snapshot()
     with memo.collect_substrates() as collector:
         result = run()
-    return result, memo.stats_delta(before, memo.stats_snapshot()), collector.pairs
+    return result, collector.stats, collector.pairs
 
 
 def execute_sweep_chunk_task(

@@ -10,10 +10,11 @@ Chunks are dispatched one at a time to the service's worker pool via
 :func:`repro.service.queries.execute_sweep_chunk_task`, which mirrors the
 interactive worker contract: fault hooks fire first, and each chunk ships
 its substrate-cache counter delta back for the ``/metrics`` merge.  A
-worker crash mid-sweep (``BrokenProcessPool``) tears down the pool and
-retries *only the chunk that died* with a bumped attempt number —
-completed chunks are already held in the manager, so an injected
-``crash:sweep@0`` fault costs one chunk retry, not a restart.
+worker crash mid-sweep (:class:`~repro.service.pool.WorkerCrash`) retries
+*only the chunk that died* with a bumped attempt number on a fresh worker
+— completed chunks are already held in the manager, and queries running
+on the other workers are unaffected, so an injected ``crash:sweep@0``
+fault costs one chunk retry, not a restart.
 
 The finished document is ``SweepOutcome.to_payload()`` rendered through
 :func:`repro.service.queries.render_payload` and stored in the service's
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -36,6 +36,7 @@ from repro.core import memo
 from repro.core.canonical import compact_dumps
 from repro.errors import InjectedFault, InvariantViolation
 from repro.service import queries
+from repro.service.pool import WorkerCrash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports us)
     from repro.service.app import CarbonQueryService
@@ -184,40 +185,15 @@ class SweepManager:
         self, job: SweepJob, params_json: str, start: int, stop: int
     ) -> dict[str, object]:
         """One chunk with bounded retries; attempt numbers feed faults."""
-        loop = asyncio.get_running_loop()
-        service = self._service
         last_error: Exception | None = None
         for attempt in range(MAX_CHUNK_ATTEMPTS):
             try:
-                if service.config.workers == 0:
-                    return await loop.run_in_executor(
-                        service._inline(),
-                        queries.execute_sweep_chunk_task,
-                        params_json,
-                        start,
-                        stop,
-                        attempt,
-                        False,
-                    )
-                pool = service._pool()
-                return await loop.run_in_executor(
-                    pool,
-                    queries.execute_sweep_chunk_task,
-                    params_json,
-                    start,
-                    stop,
-                    attempt,
+                return await self._service._dispatch(
+                    queries.execute_sweep_chunk_task, params_json, start, stop, attempt
                 )
-            except BrokenProcessPool as exc:
-                # The worker died mid-chunk: discard the broken pool so
-                # the retry (and all other traffic) gets a fresh one.
-                if service._executor is pool:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    service._executor = None
-                last_error = exc
-            except InjectedFault as exc:
-                # Inline mode downgrades crash faults to exceptions; the
-                # retry path must behave the same as the pool path.
+            except (WorkerCrash, InjectedFault) as exc:
+                # A dead worker, or inline mode's crash fault downgraded to
+                # an exception: either way, retry the chunk.
                 last_error = exc
             job.retries += 1
         assert last_error is not None

@@ -1,16 +1,16 @@
 """Injectable faults for hardening the parallel experiment runner.
 
 Faults are declared in the :data:`FAULTS_ENV_VAR` environment variable
-(which ``ProcessPoolExecutor`` workers inherit), so the production runner
-code path is exercised unchanged — no test-only branches in the runner
-beyond one :func:`inject` call per experiment execution.
+(which the runner's and the service's pool workers inherit), so the
+production code path is exercised unchanged — no test-only branches in
+the runner beyond one :func:`inject` call per experiment execution.
 
 Directive grammar (semicolon-separated)::
 
     mode:target[:param][@attempts]
 
 * ``mode`` — ``raise`` (worker raises :class:`~repro.errors.InjectedFault`),
-  ``crash`` (worker hard-exits, breaking the process pool), ``timeout``
+  ``crash`` (worker hard-exits, failing the task it ran), ``timeout``
   (worker sleeps ``param`` seconds, default 30), or ``corrupt-memo``
   (every substrate produced by the memo cache is scaled by ``1 + param``,
   default 0.01 — drift the golden verifier must catch).

@@ -11,6 +11,7 @@ the single place that identity is captured, so the disk-cache salt
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -38,8 +39,9 @@ class CodeVersion:
         return {"repro": self.repro, "numpy": self.numpy, "python": self.python}
 
 
+@functools.cache
 def code_version() -> CodeVersion:
-    """The running stack's version triple."""
+    """The running stack's version triple (fixed for the process's life)."""
     import numpy as np
 
     return CodeVersion(

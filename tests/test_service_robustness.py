@@ -5,8 +5,9 @@ in-flight queries coalesce onto one execution, the bounded queue sheds
 load with structured 429s, per-request timeouts yield structured 504s,
 injected worker crashes (via :mod:`repro.testing.faults`, the same env
 grammar the experiment runner hardens against) surface as structured
-500s and the pool rebuilds, and SIGTERM drains in-flight requests before
-the process exits.
+500s for the crashed worker's own request only, SIGTERM drains in-flight
+requests before the process exits, and a SIGKILLed server leaves no
+worker, port or connection behind.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import argparse
 import asyncio
 import concurrent.futures
 import contextlib
+import http.client
 import json
 import math
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -80,6 +83,14 @@ def _get_all(host: str, port: int, paths: list[str]) -> list[tuple[int, bytes]]:
         return [(reply.status, reply.body) for reply in map(client.get, paths)]
     finally:
         client.close()
+
+
+def _wait_in_flight(client: ServiceClient, executions: int, deadline_s: float = 30.0) -> None:
+    """Poll ``/metrics`` until ``executions`` queries are executing."""
+    deadline = time.monotonic() + deadline_s
+    while client.get("/metrics").json()["batching"]["in_flight"] < executions:
+        assert time.monotonic() < deadline, "query never started executing"
+        time.sleep(0.02)
 
 
 def _cache_key(path: str) -> str:
@@ -251,9 +262,9 @@ class TestWorkerCrash:
     def test_injected_crash_returns_500_and_pool_recovers(self, monkeypatch):
         """A hard worker death mid-request is a structured 500, not a hang.
 
-        The crash fault hard-exits the pool worker (breaking the
-        ``ProcessPoolExecutor``), mirroring the runner's fault-injection
-        harness; the service rebuilds the pool so the next query works.
+        The crash fault hard-exits the pool worker, mirroring the runner's
+        fault-injection harness; the service forks a replacement so the
+        next query works.
         """
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "crash:footprint@0")
         with running_service(workers=1, lru_size=4) as (handle, client):
@@ -263,6 +274,32 @@ class TestWorkerCrash:
             # Pool is rebuilt; a different target is unaffected by the fault.
             ok = client.get("/schedule/carbon-aware?n_jobs=5")
             assert ok.status == 200
+            metrics = client.get("/metrics").json()
+            assert metrics["requests"]["server_errors_5xx"] == 1
+
+    def test_crash_fails_only_its_own_request(self, monkeypatch):
+        """A worker that dies fails its own request, never a neighbour's.
+
+        The schedule query sleeps inside one worker while ``fig8`` kills
+        the other; the schedule still answers with the library's bytes.
+        """
+        schedule = {"n_jobs": 6, "grid_seed": 515151}
+        expected = render_payload(parse_query("schedule", schedule).execute())
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "crash:fig8;timeout:schedule:1.0")
+        with running_service(workers=2, lru_size=16) as (_handle, client):
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                in_flight = pool.submit(
+                    _get_all,
+                    client.host,
+                    client.port,
+                    ["/schedule/carbon-aware?n_jobs=6&grid_seed=515151"],
+                )
+                _wait_in_flight(client, 1)
+                crashed = client.get("/experiments/fig8")
+                assert in_flight.result(timeout=120) == [(200, expected)]
+            assert crashed.status == 500
+            assert crashed.json()["error"]["kind"] == "crash"
+            assert client.get("/footprint?busy_device_hours=4").status == 200
             metrics = client.get("/metrics").json()
             assert metrics["requests"]["server_errors_5xx"] == 1
 
@@ -441,6 +478,77 @@ class TestGracefulDrain:
         assert not handle.thread.is_alive()
 
 
+def _group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes of one process group, from ``/proc``."""
+    members = []
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = Path(entry.path, "stat").read_text()
+        except OSError:
+            continue
+        fields = stat[stat.rfind(")") + 2:].split()
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux /proc")
+class TestKilledServer:
+    def test_sigkill_leaves_no_worker_port_or_connection(self):
+        """A SIGKILLed server takes its workers, port and connections along.
+
+        Forked workers inherit the listening socket and every accepted
+        connection; unless they close them, the port keeps accepting and
+        an open connection never reads EOF after the server dies.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env["SUSTAINABLE_AI_CACHE_DIR"] = "off"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0", "--workers", "2"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            start_new_session=True,
+        )
+        client = None
+        try:
+            banner = proc.stdout.readline()
+            assert "listening on http://" in banner, banner
+            port = int(banner.split("http://")[1].split()[0].rsplit(":", 1)[1])
+            client = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            client.request("GET", "/footprint?busy_device_hours=5")
+            reply = client.getresponse()
+            assert reply.status == 200 and reply.read()
+            conn = client.sock  # kept alive for the next request
+            assert len(_group_members(proc.pid)) >= 2  # the server and a worker
+
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 2.0
+            while _group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert _group_members(proc.pid) == []
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=2).close()
+            conn.settimeout(2)
+            try:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert conn.recv(65536) == b""
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+        finally:
+            if client is not None:
+                client.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+
 def _wait_sweep(client, sweep_id, deadline_s=60.0):
     """Poll a sweep to completion, returning every observed progress doc."""
     observed = []
@@ -491,7 +599,7 @@ class TestSweepRobustness:
 
     def test_worker_crash_mid_sweep_resumes_from_failed_chunk(self, monkeypatch):
         """``crash:sweep@0`` kills attempt 0 of every chunk; the manager
-        rebuilds the pool, retries only the dead chunk, and the final
+        retries only the dead chunk on a fresh worker, and the final
         bytes still equal the direct library call."""
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "crash:sweep@0")
         with running_service(workers=1, lru_size=16) as (_handle, client):
@@ -504,6 +612,26 @@ class TestSweepRobustness:
         monkeypatch.delenv(faults.FAULTS_ENV_VAR)
         expected = render_payload(parse_query("sweep", dict(SOBOL_SWEEP)).execute())
         assert result.body == expected
+
+    def test_sweep_crash_spares_an_in_flight_query(self, monkeypatch):
+        """A chunk's worker dying retries the chunk and fails nothing else."""
+        expected = render_payload(parse_query("footprint", {"busy_device_hours": 11}).execute())
+        expected_sweep = render_payload(parse_query("sweep", dict(SOBOL_SWEEP)).execute())
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "crash:sweep@0;timeout:footprint:1.0")
+        with running_service(workers=2, lru_size=16) as (_handle, client):
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                in_flight = pool.submit(
+                    _get_all, client.host, client.port, ["/footprint?busy_device_hours=11"]
+                )
+                _wait_in_flight(client, 1)
+                sweep_id = client.post("/sweep", dict(SOBOL_SWEEP)).json()["sweep_id"]
+                assert in_flight.result(timeout=120) == [(200, expected)]
+            final = _wait_sweep(client, sweep_id)[-1]
+            assert final["status"] == "done"
+            assert final["retries"] >= 2  # both chunks crashed once
+            result = client.get(f"/sweep/{sweep_id}/result")
+        assert result.status == 200
+        assert result.body == expected_sweep
 
     def test_inline_crash_downgrades_and_still_resumes(self, monkeypatch):
         """Inline mode turns the crash into an exception; same retry path."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.carbon.grid import constant_grid_trace, synthesize_grid_trace
 from repro.carbon.intensity import CarbonIntensity
+from repro.core import memo
 from repro.core.memo import clear_substrate_caches, memoized_substrate, substrate_cache_info
 from repro.lifecycle.jobs import EXPERIMENTATION_JOBS
 from repro.workloads.traces import diurnal_demand, experiment_arrivals
@@ -89,3 +90,33 @@ class TestMemoizedSubstrate:
             warnings.simplefilter("error")
             build_other([2.0])
         assert build_other.cache_info().bypasses == 2
+
+
+class TestCollectorStats:
+    def test_collector_counts_equal_the_snapshot_delta(self, tmp_path, monkeypatch):
+        """A collector's counts are the rows two snapshots would give."""
+        monkeypatch.setenv("SUSTAINABLE_AI_CACHE_DIR", str(tmp_path))
+
+        @memoized_substrate
+        def build_counted(x):
+            return np.asarray(x, dtype=float)
+
+        synthesize_grid_trace(48, seed=4242)
+        before = memo.stats_snapshot()
+        with memo.collect_substrates() as collector:
+            build_counted((1.0,))
+            build_counted((1.0,))
+            build_counted((2.0,))
+            with pytest.warns(RuntimeWarning, match="bypass"):
+                build_counted([3.0])
+            synthesize_grid_trace(48, seed=4242)
+        assert collector.stats == memo.stats_delta(before, memo.stats_snapshot())
+        assert collector.stats[build_counted.__qualname__] == {
+            "hits": 1,
+            "misses": 2,
+            "bypasses": 1,
+            "disk_hits": 0,
+            "disk_misses": 2,
+            "disk_errors": 0,
+        }
+        assert collector.stats["synthesize_grid_trace"]["hits"] == 1
