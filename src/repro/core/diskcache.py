@@ -1,11 +1,12 @@
 """Content-addressed disk tier for the substrate memo cache.
 
 The in-process tier of :mod:`repro.core.memo` dies with its process, so
-every ``ProcessPoolExecutor`` worker used to rebuild the same seeded grid
-traces, demand curves, and interaction datasets from scratch.  This module
-adds a second, cross-process tier: substrate values are pickled to a cache
-directory under a content-addressed name, so any process (a pool worker, a
-later ``sustainable-ai run``) warm-starts from disk instead of rebuilding.
+every forked worker of :mod:`repro.service.pool` used to rebuild the same
+seeded grid traces, demand curves, and interaction datasets from scratch.
+This module adds a second, cross-process tier: substrate values are
+pickled to a cache directory under a content-addressed name, so any
+process (a pool worker, a later ``sustainable-ai run``) warm-starts from
+disk instead of rebuilding.
 
 Addressing
 ----------

@@ -16,21 +16,25 @@ Usage::
     sustainable-ai sweep --param utilization=0.3:0.9:16 --json sweep.json
     sustainable-ai sweep --sampling sobol --points 4096 --scalar-check 32
 
-``run all``, ``report``, and ``verify`` fan experiments out across a
-process pool (``--jobs``, default ``os.cpu_count()``).  Each experiment is
-deterministically seeded from its id, and results are collected in
-registry order, so parallel runs produce payloads byte-identical to
-sequential ones.
+``run all``, ``report``, and ``verify`` fan experiments out across
+``--jobs`` forked workers (default ``os.cpu_count()``), the pool of
+:mod:`repro.service.pool`; ``--jobs 1`` or a single experiment runs
+in-process.  Each experiment is deterministically seeded from its id, and
+results are collected in registry order, so parallel runs produce payloads
+byte-identical to sequential ones.
 
-The fan-out degrades gracefully: a worker that raises, hard-crashes
-(breaking the process pool), or exceeds ``--timeout`` never aborts the
-whole run.  Failed experiments are retried up to ``--retries`` times with
-a reseeded RNG stream, and an experiment that exhausts its budget resolves
-to a structured error record (see
-:class:`~repro.experiments.base.RunRecord`) while the rest of the suite
-completes.  ``--check-invariants`` additionally sweeps the result-invariant
-registry (:mod:`repro.testing.invariants`) over every completed result and
-enables the runtime accounting self-checks inside the workers.
+The fan-out degrades gracefully: an experiment that raises, kills its
+worker, or exceeds ``--timeout`` never aborts the whole run, and its
+failure is charged to it alone.  The ``--timeout`` clock starts when a
+worker takes the experiment, and the worker is killed at the bound, so a
+hung experiment cannot outlive the command.  Failed experiments are
+retried up to ``--retries`` times with a reseeded RNG stream, and an
+experiment that exhausts its budget resolves to a structured error record
+(see :class:`~repro.experiments.base.RunRecord`) while the rest of the
+suite completes.  ``--check-invariants`` additionally sweeps the
+result-invariant registry (:mod:`repro.testing.invariants`) over every
+completed result and enables the runtime accounting self-checks inside the
+workers.
 
 ``sweep`` evaluates a what-if parameter sweep through the stacked kernel
 (:mod:`repro.core.sweep`) and prints the tornado-sensitivity and
@@ -60,9 +64,6 @@ import difflib
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -123,11 +124,7 @@ def _execute(
 
 
 def _failure(exc: BaseException) -> tuple[str, str]:
-    """(error_kind, message) classification of a worker failure."""
-    if isinstance(exc, FutureTimeoutError):
-        return "timeout", "experiment exceeded the per-experiment --timeout"
-    if isinstance(exc, BrokenProcessPool):
-        return "crash", "worker process died before returning a result"
+    """(error_kind, message) of an experiment that raised."""
     return "exception", f"{type(exc).__name__}: {exc}"
 
 
@@ -153,74 +150,51 @@ def _run_round_sequential(
     return needs_retry
 
 
-def _run_round_pool(
-    pending: Sequence[str],
+async def _run_pooled(
+    exp_ids: Sequence[str],
     jobs: int,
     attempts: dict[str, int],
     outputs: dict[str, dict[str, object]],
     failures: dict[str, tuple[str, str]],
+    retries: int,
     timeout: float | None,
     profile: bool = False,
-) -> list[str]:
-    """One pooled attempt per pending experiment; returns retry list.
+) -> None:
+    """Every attempt of every experiment on ``jobs`` worker processes.
 
-    ``timeout`` bounds how long we wait on each experiment's future once
-    it is this experiment's turn to be collected.  A broken pool charges
-    the attempt to the experiment being awaited when the break surfaced
-    (the most likely culprit); collateral unresolved experiments, and
-    those the break left unsubmitted, are resubmitted without consuming
-    their retry budget.
+    ``jobs`` lanes take the experiments in order and each runs one
+    experiment's attempts back to back, so every attempt finds an idle
+    worker and ``timeout`` starts when a worker takes it.  A worker that
+    dies fails only its own attempt, and one still running at ``timeout``
+    is killed.
     """
-    needs_retry: list[str] = []
-    timed_out = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+    import asyncio
+
+    from repro.service.pool import WorkerCrash, WorkerPool
+
+    pool = WorkerPool(jobs)
+    queue = iter(exp_ids)
+
+    async def lane() -> None:
+        for exp_id in queue:
+            for attempt in range(retries + 1):
+                attempts[exp_id] = attempt + 1
+                try:
+                    outputs[exp_id] = await asyncio.wait_for(
+                        pool.run(_execute, exp_id, attempt, True, profile), timeout
+                    )
+                    break
+                except WorkerCrash:
+                    failures[exp_id] = "crash", "worker process died before returning a result"
+                except asyncio.TimeoutError:
+                    failures[exp_id] = "timeout", "experiment exceeded the per-experiment --timeout"
+                except Exception as exc:
+                    failures[exp_id] = _failure(exc)
+
     try:
-        futures = {}
-        for exp_id in pending:
-            try:
-                futures[exp_id] = pool.submit(_execute, exp_id, attempts[exp_id], True, profile)
-            except BrokenProcessPool:
-                # A worker died before the last submit.  The first submit
-                # to a new pool cannot fail, so every round collects one.
-                break
-        broken = False
-        for exp_id in pending:
-            future = futures.get(exp_id)
-            if future is None:
-                needs_retry.append(exp_id)  # unsubmitted: no attempt spent
-                continue
-            if broken:
-                # The pool died while an earlier future was being awaited.
-                # Salvage anything that finished; everything else retries
-                # in a fresh pool without spending an attempt.
-                if future.done() and future.exception() is None:
-                    outputs[exp_id] = future.result()
-                    failures.pop(exp_id, None)
-                    attempts[exp_id] += 1
-                else:
-                    needs_retry.append(exp_id)
-                continue
-            try:
-                outputs[exp_id] = future.result(timeout=timeout)
-                failures.pop(exp_id, None)
-            except FutureTimeoutError as exc:
-                future.cancel()
-                timed_out = True
-                failures[exp_id] = _failure(exc)
-                needs_retry.append(exp_id)
-            except BrokenProcessPool as exc:
-                broken = True
-                failures[exp_id] = _failure(exc)
-                needs_retry.append(exp_id)
-            except Exception as exc:
-                failures[exp_id] = _failure(exc)
-                needs_retry.append(exp_id)
-            attempts[exp_id] += 1
+        await asyncio.gather(*(lane() for _ in range(jobs)))
     finally:
-        # A timed-out worker may still be running its (unkillable via the
-        # executor API) task; don't block the collected results on it.
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
-    return needs_retry
+        pool.close()
 
 
 def _run_many(
@@ -244,19 +218,21 @@ def _run_many(
     outputs: dict[str, dict[str, object]] = {}
     failures: dict[str, tuple[str, str]] = {}
 
-    pending = list(exp_ids)
-    while pending:
-        if jobs <= 1 or len(pending) <= 1:
+    if jobs > 1 and len(exp_ids) > 1:
+        import asyncio
+
+        asyncio.run(
+            _run_pooled(exp_ids, jobs, attempts, outputs, failures, retries, timeout, profile)
+        )
+    else:
+        pending = list(exp_ids)
+        while pending:
             needs_retry = _run_round_sequential(
                 pending, attempts, outputs, failures, profile
             )
-        else:
-            needs_retry = _run_round_pool(
-                pending, jobs, attempts, outputs, failures, timeout, profile
-            )
-        pending = [
-            exp_id for exp_id in needs_retry if attempts[exp_id] <= retries
-        ]
+            pending = [
+                exp_id for exp_id in needs_retry if attempts[exp_id] <= retries
+            ]
 
     records = []
     for exp_id in exp_ids:
@@ -341,7 +317,10 @@ def _add_fanout_flags(subparser: argparse.ArgumentParser) -> None:
         type=float,
         metavar="SECONDS",
         default=None,
-        help="per-experiment wait bound in parallel runs (default: none)",
+        help=(
+            "per-experiment bound in pooled runs, counted from when a worker "
+            "takes the experiment; the worker is killed at it (default: none)"
+        ),
     )
     subparser.add_argument(
         "--cache-dir",

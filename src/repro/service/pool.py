@@ -1,19 +1,22 @@
-"""The service's worker pool: persistent forked processes, one pipe each.
+"""The worker pool: persistent forked processes, one pipe each.
 
-``--workers K`` processes are forked from the service the first time a task
-finds no idle worker, and then serve until the service stops.  Each has one
-duplex :func:`multiprocessing.Pipe`; the event loop watches the service's
-end with one ``add_reader`` callback, so a task costs one pickled message
-each way and no helper thread.  A worker runs one task at a time, and
-further tasks wait in a FIFO.
+The service's ``--workers K`` and the runner's ``--jobs N`` both run on it.
+Workers are forked the first time a task finds no idle one, and then serve
+until the pool is closed.  Each has one duplex :func:`multiprocessing.Pipe`;
+the event loop watches the parent's end with one ``add_reader`` callback,
+so a task costs one pickled message each way and no helper thread.  A
+worker runs one task at a time, and further tasks wait in a FIFO.
 
 Tasks name their function by reference (module and name), so a worker
 calls the module attribute it inherited at fork — including any wrapper
-installed before the service started.
+installed before the pool started.
 
 A worker that dies (the OOM killer, an injected ``crash`` fault) fails only
 the task it was running, with :class:`WorkerCrash`; the next task that
 needs a worker forks its replacement, and the other workers are untouched.
+A task whose caller is cancelled (a timeout, a drain that ran out of time)
+has its worker killed and replaced the same way, so the slot is free again
+at once.
 
 A forked child inherits every descriptor of the service: the listening
 socket, each accepted connection and the other workers' pipe ends.  A
@@ -115,14 +118,24 @@ class WorkerPool:
         multiprocessing.util.Finalize(self, _close_pipes, (self._workers,), exitpriority=0)
 
     async def run(self, fn: Callable, *args: object) -> object:
-        """``fn(*args)`` in a worker; :class:`WorkerCrash` if it dies first."""
+        """``fn(*args)`` in a worker; :class:`WorkerCrash` if it dies first.
+
+        Cancelling the caller kills the worker running its task.
+        """
         if self._closed:
             raise WorkerCrash("the worker pool is closed")
         self._loop = asyncio.get_running_loop()
         future = self._loop.create_future()
         self._queue.append((pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL), future))
         self._dispatch()
-        return await future
+        try:
+            return await future
+        except asyncio.CancelledError:
+            worker = next((w for w in self._workers if w.task is future), None)
+            if worker is not None:
+                self._bury(worker)
+                self._dispatch()
+            raise
 
     def _dispatch(self) -> None:
         """Hand queued tasks to idle workers, forking up to ``size`` of them."""
@@ -170,7 +183,7 @@ class WorkerPool:
         self._dispatch()
 
     def _bury(self, worker: _Worker) -> None:
-        """Reap a dead worker and fail the one task it was running."""
+        """Kill and reap a worker, and fail the one task it was running."""
         assert self._loop is not None
         self._loop.remove_reader(worker.conn.fileno())
         worker.conn.close()

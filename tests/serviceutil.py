@@ -4,7 +4,9 @@ Not a test module (the name avoids the ``test_*.py`` pattern): it holds
 the tiny synchronous HTTP client the conformance/robustness/property
 suites and the load tests use against :func:`repro.service.start_service`
 instances.  Everything here speaks plain ``http.client`` so the tests
-exercise the service through a genuinely independent HTTP stack.
+exercise the service through a genuinely independent HTTP stack.  It also
+holds :func:`group_members`, which the killed-process tests of the service
+and the runner use to find the workers a dead parent left behind.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.service import ServiceConfig, start_service
 
@@ -95,3 +99,19 @@ def running_service(**overrides):
     finally:
         client.close()
         handle.stop()
+
+
+def group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes of one process group, from ``/proc``."""
+    members = []
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = Path(entry.path, "stat").read_text()
+        except OSError:
+            continue
+        fields = stat[stat.rfind(")") + 2:].split()
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry.name))
+    return members

@@ -6,7 +6,15 @@ production retry/timeout/degradation paths of
 :mod:`repro.experiments.runner` — no runner code is stubbed out.
 """
 
+import contextlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +26,7 @@ from repro.experiments.registry import run_experiment, stable_seed
 from repro.experiments.runner import main
 from repro.testing import faults
 from repro.testing.faults import Fault, FaultPlan
+from tests.serviceutil import group_members
 
 
 @pytest.fixture
@@ -135,35 +144,35 @@ class TestRunWithFaults:
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "crash:fig7@0")
         assert main(["run", "all", "--jobs", "2", "--quiet"]) == 0
 
-    def test_pool_break_during_submission_retries_the_rest(self, monkeypatch):
-        """A worker dying before the last submit: the rest retry, no attempt spent.
-
-        Makes the second ``submit`` raise as a pool broken mid-loop does,
-        so the race between a dying worker and the submit loop is
-        deterministic.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        submit = ProcessPoolExecutor.submit
-        calls = []
-
-        def breaking_submit(self, *args, **kwargs):
-            calls.append(args[1])
-            if len(calls) == 2:
-                raise BrokenProcessPool(
-                    "A child process terminated abruptly, the process pool is not usable anymore"
-                )
-            return submit(self, *args, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
-        records = runner_mod._run_many(["fig7", "fig8", "fig6"], jobs=2, retries=0)
-        assert [(r.experiment_id, r.status, r.attempts) for r in records] == [
-            ("fig7", "ok", 1),
-            ("fig8", "ok", 1),
-            ("fig6", "ok", 1),
+    def test_a_crash_is_charged_only_to_the_experiment_that_crashed(self, monkeypatch):
+        # fig7 is still running in the other worker when fig8's worker dies.
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "crash:fig8;timeout:fig7:1.0")
+        records = runner_mod._run_many(["fig7", "fig8"], jobs=2, retries=0)
+        assert [(r.experiment_id, r.status, r.error_kind, r.attempts) for r in records] == [
+            ("fig7", "ok", None, 1),
+            ("fig8", "failed", "crash", 1),
         ]
-        assert calls == ["fig7", "fig8", "fig8", "fig6"]
+
+    def test_a_lone_retry_stays_in_a_worker(self, monkeypatch):
+        # Only fig8 is retried; its retry still runs, and crashes, in a worker.
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "raise:fig8@0;crash:fig8@1")
+        records = runner_mod._run_many(["fig7", "fig8"], jobs=2, retries=1)
+        assert [(r.experiment_id, r.status, r.error_kind, r.attempts) for r in records] == [
+            ("fig7", "ok", None, 1),
+            ("fig8", "failed", "crash", 2),
+        ]
+
+    def test_a_timed_out_worker_is_killed(self, monkeypatch):
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "timeout:fig7:15")
+        started = time.monotonic()
+        records = runner_mod._run_many(["fig7", "fig8"], jobs=2, retries=0, timeout=2.0)
+        assert time.monotonic() - started < 10
+        # Nothing is left for interpreter exit to join.
+        assert multiprocessing.active_children() == []
+        assert [(r.experiment_id, r.status, r.error_kind) for r in records] == [
+            ("fig7", "failed", "timeout"),
+            ("fig8", "ok", None),
+        ]
 
     def test_timeout_fault_produces_timeout_record(
         self, capsys, monkeypatch, small_registry
@@ -188,6 +197,42 @@ class TestRunWithFaults:
         assert "## fig7 — FAILED" in text
         assert "exception after 1 attempt(s)" in text
         assert "## fig8 —" in text  # the healthy section still renders
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux /proc")
+class TestKilledRun:
+    def test_sigterm_leaves_no_worker(self):
+        """A pooled run killed mid-suite leaves no worker behind.
+
+        Each worker holds only its own pipe end, so once the runner is gone
+        it reads EOF after the experiment it is running, and exits.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.runner", "run", "all",
+             "--jobs", "2", "--quiet"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(group_members(proc.pid)) < 3 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert len(group_members(proc.pid)) >= 3  # the runner and two workers
+
+            os.kill(proc.pid, signal.SIGTERM)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert group_members(proc.pid) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
 
 
 class TestVerifyWithFaults:

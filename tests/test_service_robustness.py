@@ -36,7 +36,7 @@ from repro.service.app import add_serve_flags, config_from_args
 from repro.service.loadgen import build_mix
 from repro.service.router import RouterConfig, start_router
 from repro.testing import faults
-from tests.serviceutil import ServiceClient, running_service
+from tests.serviceutil import ServiceClient, group_members, running_service
 
 
 @pytest.fixture(autouse=True)
@@ -478,22 +478,6 @@ class TestGracefulDrain:
         assert not handle.thread.is_alive()
 
 
-def _group_members(pgid: int) -> list[int]:
-    """Live (non-zombie) processes of one process group, from ``/proc``."""
-    members = []
-    for entry in os.scandir("/proc"):
-        if not entry.name.isdigit():
-            continue
-        try:
-            stat = Path(entry.path, "stat").read_text()
-        except OSError:
-            continue
-        fields = stat[stat.rfind(")") + 2:].split()
-        if int(fields[2]) == pgid and fields[0] != "Z":
-            members.append(int(entry.name))
-    return members
-
-
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux /proc")
 class TestKilledServer:
     def test_sigkill_leaves_no_worker_port_or_connection(self):
@@ -524,14 +508,14 @@ class TestKilledServer:
             reply = client.getresponse()
             assert reply.status == 200 and reply.read()
             conn = client.sock  # kept alive for the next request
-            assert len(_group_members(proc.pid)) >= 2  # the server and a worker
+            assert len(group_members(proc.pid)) >= 2  # the server and a worker
 
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
             deadline = time.monotonic() + 2.0
-            while _group_members(proc.pid) and time.monotonic() < deadline:
+            while group_members(proc.pid) and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert _group_members(proc.pid) == []
+            assert group_members(proc.pid) == []
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(("127.0.0.1", port), timeout=2).close()
             conn.settimeout(2)

@@ -1,4 +1,4 @@
-"""The service's worker pool: FIFO dispatch, crash isolation, shutdown.
+"""The worker pool: FIFO dispatch, crash isolation, cancellation, shutdown.
 
 Task functions live at module level: the pool sends them by reference,
 and the forked workers find them in the module they inherited.
@@ -91,6 +91,19 @@ class TestWorkerPool:
             assert await pool.run(_square, 5) == 25  # on a forked replacement
 
         _with_pool(2, body)
+
+    def test_a_cancelled_caller_kills_its_worker(self):
+        async def body(pool):
+            pid = await pool.run(_pid)
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(pool.run(_sleep_then, "late", 30), 0.2)
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+            started = time.monotonic()
+            assert await pool.run(_pid) != pid  # a fresh worker, not a queue
+            return time.monotonic() - started
+
+        assert _with_pool(1, body) < 5
 
     def test_workers_ignore_sigterm(self):
         async def body(pool):
