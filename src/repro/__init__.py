@@ -45,20 +45,17 @@ def verify_experiments(baselines_path=None, jobs: int = 1):
 
     Returns a :class:`repro.experiments.golden.VerifyReport`; ``report.ok``
     is the pass/fail verdict the ``sustainable-ai verify`` CLI exposes as
-    its exit code.
+    its exit code.  An experiment that failed to run is reported as a
+    ``run-failure`` drift, as ``verify`` reports it.
     """
     from repro.experiments import golden
-    from repro.experiments.base import ExperimentResult
     from repro.experiments.registry import experiment_ids as _ids
-    from repro.experiments.runner import _run_many
+    from repro.experiments.runner import _run_many, _successful_results
 
-    outputs = _run_many(_ids(), jobs)
-    results = {
-        out["payload"]["experiment_id"]: ExperimentResult.from_payload(out["payload"])
-        for out in outputs
-    }
+    records = _run_many(_ids(), jobs)
     baselines = golden.load_baselines(baselines_path or golden.DEFAULT_BASELINES_PATH)
-    return golden.compare(baselines, results)
+    report = golden.compare(baselines, _successful_results(records))
+    return golden.merge_failures(report, [r for r in records if not r.ok])
 
 
 from repro.core.footprint import (

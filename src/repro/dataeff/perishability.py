@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.dataeff.recommenders import BiasMF, ItemPop, evaluate
 from repro.dataeff.synthetic import LatentFactorWorld
@@ -97,6 +96,8 @@ def fit_half_life(ages_years: np.ndarray, values: np.ndarray) -> HalfLifeModel:
         half_life, floor = params
         model = HalfLifeModel(max(half_life, 1e-6), min(max(floor, 0.0), 0.99))
         return np.array([model.value_at_age(a) for a in ages]) - vals
+
+    from scipy import optimize
 
     result = optimize.least_squares(
         residuals, x0=np.array([5.0, 0.1]), bounds=([1e-3, 0.0], [100.0, 0.99])

@@ -9,10 +9,11 @@ data.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
-from scipy import stats
+import numpy as np
 
 from repro.dataeff.recommenders import EvalResult, Recommender, default_algorithms, evaluate
 from repro.dataeff.synthetic import InteractionDataset
@@ -61,16 +62,27 @@ def run_panel(
 
 
 def kendall_tau(full: PanelResult, sampled: PanelResult) -> float:
-    """Kendall tau between algorithm scores on full vs sampled data."""
+    """Kendall tau-b between algorithm scores on full vs sampled data.
+
+    Counted over every pair of the (small) panel with the expression
+    ``scipy.stats.kendalltau`` evaluates, so the value is bit-equal to it;
+    NaN when either panel scores every algorithm the same.
+    """
     full_scores = full.scores()
     sample_scores = sampled.scores()
     names = sorted(full_scores)
     if sorted(sample_scores) != names:
         raise UnitError("panels evaluated different algorithm sets")
-    a = [full_scores[n] for n in names]
-    b = [sample_scores[n] for n in names]
-    tau, _ = stats.kendalltau(a, b)
-    return float(tau)
+    x = np.array([full_scores[n] for n in names])
+    y = np.array([sample_scores[n] for n in names])
+    i, j = np.triu_indices(len(names), k=1)
+    dx, dy = np.sign(x[i] - x[j]), np.sign(y[i] - y[j])
+    tot, xtie, ytie = len(i), np.count_nonzero(dx == 0), np.count_nonzero(dy == 0)
+    if xtie == tot or ytie == tot:
+        return math.nan
+    # Concordant minus discordant pairs over the tau-b normalization.
+    tau = np.dot(dx, dy) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.clip(tau, -1.0, 1.0))
 
 
 @dataclass(frozen=True, slots=True)

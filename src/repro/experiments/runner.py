@@ -338,6 +338,51 @@ def _add_fanout_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that installs its flags when its command is parsed.
+
+    The ``serve`` and ``fabric`` flags come from the service modules, which
+    import asyncio and the whole service stack; installing them on first
+    use keeps that import out of every other command.
+    """
+
+    def __init__(self, *args, install_flags: Callable | None = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._install_flags = install_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._install_flags is not None:
+            install, self._install_flags = self._install_flags, None
+            install(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.service.app import add_serve_flags
+
+    add_serve_flags(parser)
+    parser.add_argument(
+        "--cache-dir",
+        metavar="PATH",
+        default=None,
+        help=(
+            "enable the disk substrate cache at PATH (exported as "
+            f"{diskcache.CACHE_DIR_ENV_VAR} so service workers warm-start)"
+        ),
+    )
+    parser.add_argument(
+        "--no-disk-cache",
+        action="store_true",
+        help="disable the disk substrate cache even if the env var is set",
+    )
+
+
+def _add_fabric_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.service.router import add_fabric_flags
+
+    add_fabric_flags(parser)
+
+
 def _successful_results(records: Sequence[RunRecord]) -> dict[str, ExperimentResult]:
     return {r.experiment_id: r.result() for r in records if r.ok}
 
@@ -694,7 +739,7 @@ def _main(argv: list[str] | None) -> int:
             "(MLSys 2022)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     sub.add_parser("list", help="list all experiment ids")
 
     report_parser = sub.add_parser(
@@ -889,37 +934,16 @@ def _main(argv: list[str] | None) -> int:
     )
     _add_ledger_dir(ledger_gc)
 
-    serve_parser = sub.add_parser(
+    sub.add_parser(
         "serve",
         help="serve carbon-footprint queries over JSON/HTTP (see docs/SERVICE.md)",
+        install_flags=_add_serve_flags,
     )
-    # Lazy import: the service layer (asyncio, HTTP) stays out of every
-    # other subcommand's import path.
-    from repro.service.app import add_serve_flags
-
-    add_serve_flags(serve_parser)
-    serve_parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=None,
-        help=(
-            "enable the disk substrate cache at PATH (exported as "
-            f"{diskcache.CACHE_DIR_ENV_VAR} so service workers warm-start)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--no-disk-cache",
-        action="store_true",
-        help="disable the disk substrate cache even if the env var is set",
-    )
-
-    fabric_parser = sub.add_parser(
+    sub.add_parser(
         "fabric",
         help="route a multi-replica carbon-query fabric (see docs/SERVICE.md)",
+        install_flags=_add_fabric_flags,
     )
-    from repro.service.router import add_fabric_flags
-
-    add_fabric_flags(fabric_parser)
 
     from repro.core.sweep import DEFAULT_CHUNK_POINTS
 

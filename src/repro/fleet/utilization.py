@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import UnitError
 
@@ -49,18 +48,20 @@ class UtilizationDistribution:
         """Probability mass of utilization in [low, high]."""
         if not (0 <= low <= high <= 1):
             raise UnitError("band must satisfy 0 <= low <= high <= 1")
-        dist = stats.beta(self.alpha, self.beta)
-        return float(dist.cdf(high) - dist.cdf(low))
+        # The regularized incomplete beta function is the Beta CDF; it is
+        # what ``scipy.stats.beta.cdf`` calls.
+        from scipy.special import betainc
+
+        return float(betainc(self.alpha, self.beta, high) - betainc(self.alpha, self.beta, low))
 
     def fractions_in_bands(
         self, bands: tuple[tuple[float, float], ...]
     ) -> np.ndarray:
         """Probability mass per (low, high) band, in one vectorized pass.
 
-        Builds the frozen scipy distribution once and evaluates its CDF
-        over all band edges together; each band's mass is bit-exact with
-        a per-band :meth:`fraction_in_band` call (the CDF is an
-        elementwise ufunc, so array evaluation matches scalar).
+        Evaluates the CDF over all band edges together; each band's mass
+        is bit-exact with a per-band :meth:`fraction_in_band` call (the
+        CDF is an elementwise ufunc, so array evaluation matches scalar).
         """
         if not bands:
             return np.empty(0)
@@ -69,8 +70,9 @@ class UtilizationDistribution:
             raise UnitError("bands must be (low, high) pairs")
         if np.any(edges[:, 0] > edges[:, 1]) or np.any((edges < 0) | (edges > 1)):
             raise UnitError("band must satisfy 0 <= low <= high <= 1")
-        dist = stats.beta(self.alpha, self.beta)
-        cdf = dist.cdf(edges)
+        from scipy.special import betainc
+
+        cdf = betainc(self.alpha, self.beta, edges)
         return cdf[:, 1] - cdf[:, 0]
 
     def _reference_fractions_in_bands(

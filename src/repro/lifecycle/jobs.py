@@ -20,10 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro import units
 from repro.errors import CalibrationError
+
+#: ``scipy.stats.norm.ppf(0.99)``, written out so that the module-level
+#: models below are built without importing scipy.
+Z99 = 2.3263478740408408
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,16 +48,18 @@ class JobDurationModel:
             raise CalibrationError(
                 f"p99 ({p99_gpu_days}) must exceed p50 ({p50_gpu_days})"
             )
-        z99 = stats.norm.ppf(0.99)
         mu = float(np.log(p50_gpu_days))
-        sigma = float(np.log(p99_gpu_days / p50_gpu_days) / z99)
+        sigma = float(np.log(p99_gpu_days / p50_gpu_days) / Z99)
         return cls(mu=mu, sigma=sigma, name=name)
 
     def quantile(self, q: float) -> float:
         """GPU-days at quantile ``q`` in (0, 1)."""
         if not (0 < q < 1):
             raise CalibrationError(f"quantile must be in (0, 1), got {q}")
-        return float(np.exp(self.mu + self.sigma * stats.norm.ppf(q)))
+        # The standard-normal inverse CDF that ``scipy.stats.norm.ppf`` calls.
+        from scipy.special import ndtri
+
+        return float(np.exp(self.mu + self.sigma * ndtri(q)))
 
     @property
     def median_gpu_days(self) -> float:
@@ -78,8 +83,11 @@ class JobDurationModel:
         """Fraction of jobs longer than ``gpu_days``."""
         if gpu_days <= 0:
             return 1.0
+        from scipy.special import ndtr
+
         z = (np.log(gpu_days) - self.mu) / self.sigma
-        return float(stats.norm.sf(z))
+        # ``scipy.stats.norm.sf(z)`` is ``ndtr(-z)``.
+        return float(ndtr(-z))
 
 
 #: Research-cluster experimentation workflows (p50 1.5 / p99 24 GPU-days).

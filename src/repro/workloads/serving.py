@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from repro.energy.devices import CPU_SERVER, DeviceSpec, V100
 from repro.errors import CalibrationError, UnitError
@@ -82,6 +81,8 @@ def che_hit_ratio(popularity: ZipfPopularity, cache_size: int) -> float:
     lo, hi = 0.0, np.log(popularity.n_keys / p.min() * 10.0)
     if occupied(lo) > 0:
         lo = -10.0
+    from scipy import optimize
+
     solution = optimize.brentq(occupied, lo, hi)
     t = np.exp(solution)
     return float(np.sum(p * (1.0 - np.exp(-p * t))))
@@ -165,6 +166,8 @@ class ServingWorkload:
             return float(np.sum(p * (1.0 - np.exp(-p * np.exp(log_t))))) - target_h
 
         lo, hi = -5.0, float(np.log(self.catalog_size / p[-1] * 10.0))
+        from scipy import optimize
+
         log_t = optimize.brentq(hit_ratio_gap, lo, hi)
         cache_size = float(np.sum(1.0 - np.exp(-p * np.exp(log_t))))
         return min(1.0, cache_size / self.catalog_size)

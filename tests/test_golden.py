@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.experiments import golden
+import repro
+from repro.experiments import golden, registry
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import DEFAULT_REL_TOL, get_spec
 
@@ -142,3 +143,31 @@ class TestCheckedInBaselines:
             d.experiment_id == "fig7" and d.metric == "total_gain"
             for d in report.drifts
         )
+
+
+class TestVerifyExperiments:
+    """``repro.verify_experiments``, narrowed to two experiments."""
+
+    IDS = ("fig7", "fig9")
+
+    @pytest.fixture
+    def baselines(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(registry, "experiment_ids", lambda: self.IDS)
+        doc = golden.load_baselines(golden.DEFAULT_BASELINES_PATH)
+        doc["experiments"] = {exp_id: doc["experiments"][exp_id] for exp_id in self.IDS}
+        path = tmp_path / "baselines.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_a_clean_run_is_ok(self, baselines):
+        report = repro.verify_experiments(baselines, jobs=1)
+        assert report.ok, "\n" + report.render()
+        assert report.n_experiments == len(self.IDS)
+
+    def test_a_failed_experiment_is_a_run_failure(self, baselines, monkeypatch):
+        from repro.testing import faults
+
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "raise:fig9")
+        report = repro.verify_experiments(baselines, jobs=1)
+        assert not report.ok
+        assert [(d.experiment_id, d.kind) for d in report.drifts] == [("fig9", "run-failure")]

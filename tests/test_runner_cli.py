@@ -59,6 +59,22 @@ class TestCLI:
     def test_argparse_usage_error_returns_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--workers", "-1"], "workers must be >= 0"),
+            (["fabric", "--proxy-timeout", "nan"], "proxy timeout must be positive"),
+        ],
+    )
+    def test_service_commands_parse_their_flags(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_serve_help_lists_the_service_flags_then_the_cache_flags(self, capsys):
+        assert main(["serve", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert usage.index("--workers") < usage.index("--cache-dir") < usage.index("--no-disk-cache")
+
     def test_report_writes_markdown(self, tmp_path, capsys, small_registry):
         target = tmp_path / "report.md"
         assert main(["report", str(target), "--jobs", "1"]) == 0
