@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.service import ServiceConfig, start_service
+from repro.service.app import ServiceConfig, start_service
 from repro.service.loadgen import build_churn_mix, run_load
 from repro.service.router import RouterConfig, start_router
 

@@ -68,7 +68,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core import diskcache, ledger, memo
-from repro.core.canonical import canonical_dumps
+from repro.core.canonical import canonical_bytes, canonical_dumps
 from repro.experiments import golden, profiling
 from repro.experiments.base import ExperimentResult, RunRecord
 from repro.experiments.registry import experiment_ids, run_experiment
@@ -709,10 +709,8 @@ def _sweep_command(args: argparse.Namespace) -> int:
     if args.json:
         # The canonical serializer — the same bytes the /sweep service
         # endpoint and a direct library call produce for this spec.
-        from repro.service.queries import render_payload
-
         path = Path(args.json)
-        path.write_bytes(render_payload(payload))
+        path.write_bytes(canonical_bytes(payload))
         print(f"wrote sweep payload to {path}")
     return 0
 

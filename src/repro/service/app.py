@@ -1,35 +1,9 @@
 """The carbon-query service: routing, batching, backpressure, lifecycle.
 
 ``sustainable-ai serve`` (or ``python -m repro.service``) exposes the
-accounting engine over JSON endpoints:
-
-==========================  =======================================================
-``GET /healthz``            liveness (``ok`` / ``draining``) + registry size
-``GET /metrics``            request/latency/hit-rate counters, response-cache and
-                            substrate-cache statistics
-``GET /experiments``        all registered experiment ids, in registry order
-``GET /experiments/{id}``   one experiment's runner JSON envelope (byte-identical
-                            to ``sustainable-ai run {id} --json``'s record)
-``GET|POST /footprint``     total footprint of a quantum of work under scenario
-                            knobs (:class:`repro.service.queries.FootprintQuery`);
-                            with ``workload=llm-training|llm-serving``, a GenAI
-                            scenario (:class:`repro.service.queries.GenAIQuery`)
-``GET|POST /schedule/carbon-aware``  carbon-aware vs immediate placement of a
-                            synthetic job batch
-``GET /stream``             long-poll one delta of a live grid-intensity stream
-                            (``?cursor=N&wait_s=S`` + spec parameters; footprint
-                            and schedule advice fold in O(new ticks))
-``POST /sweep``             submit a stacked scenario sweep as a chunked job
-                            (202 + ``sweep_id``; idempotent per canonical spec)
-``GET /sweep``              list sweep jobs and their progress
-``GET /sweep/{id}``         poll one job: monotone ``completed_points`` counter
-``GET /sweep/{id}/result``  the finished sweep document (409 + progress while
-                            running; byte-identical to the direct library call)
-``GET /ledger``             claim-ledger summary (bundles, runs, epochs)
-``GET /ledger/diff``        claim-by-claim diff of two refs (``?a=..&b=..``)
-``GET /ledger/trace``       one headline metric's provenance, down to substrate
-                            content hashes (``?experiment_id=..&metric=..``)
-==========================  =======================================================
+accounting engine over JSON endpoints: the rows of
+:data:`repro.service.routes.ROUTES`, which docs/SERVICE.md lists with
+what each one answers.
 
 Request path: admission control (bounded in-flight count, excess gets a
 structured ``429``) → response LRU (hit serves the exact bytes of the
@@ -70,7 +44,8 @@ from repro.errors import (
     SustainableAIError,
 )
 from repro.experiments import profiling
-from repro.service import queries
+from repro.service import queries, routes
+from repro.service.routes import error_body
 from repro.service.streams import (
     DEFAULT_MAX_STREAMS,
     DEFAULT_STREAM_MAX_WAIT_S,
@@ -149,8 +124,21 @@ class ServiceConfig:
             )
 
 
-def _error_body(kind: str, message: str) -> bytes:
-    return queries.render_payload({"error": {"kind": kind, "message": message}})
+#: A route handler's answer: the response and its cache state (``"hit"`` or
+#: ``"miss"`` where the response LRU or a sweep job could serve it).
+_Answer = tuple[Response, str | None]
+
+
+def _document(payload: dict[str, object], status: int = 200) -> _Answer:
+    return Response(status, queries.render_payload(payload)), None
+
+
+def _draining() -> _Answer:
+    return Response(503, error_body("draining", "service is shutting down; retry elsewhere")), None
+
+
+def _bad_request(exc: Exception) -> _Answer:
+    return Response(400, error_body("bad-request", str(exc))), None
 
 
 class CarbonQueryService:
@@ -183,6 +171,22 @@ class CarbonQueryService:
         self._started_monotonic = time.monotonic()
         self._stop_event: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        #: The handler of each row of :data:`repro.service.routes.ROUTES`.
+        self._handlers = {
+            "/healthz": self._healthz,
+            "/metrics": self._metrics,
+            "/experiments": self._experiments,
+            "/experiments/{id}": self._query,
+            "/footprint": self._query,
+            "/schedule/carbon-aware": self._query,
+            "/stream": self._stream,
+            "/sweep": self._sweep,
+            "/sweep/{id}": self._poll_sweep,
+            "/sweep/{id}/result": self._poll_sweep,
+            "/ledger": self._ledger_stats,
+            "/ledger/diff": self._ledger_diff,
+            "/ledger/trace": self._ledger_trace,
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -338,57 +342,6 @@ class CarbonQueryService:
         except Exception:
             self.ledger_errors += 1
 
-    async def _answer_query(self, endpoint: str, query: queries.Query) -> Response:
-        """Admission -> LRU -> batcher -> worker, with structured errors."""
-        if self._draining:
-            return Response(
-                503, _error_body("draining", "service is shutting down; retry elsewhere")
-            )
-        if self._active >= self.config.max_queue:
-            return Response(
-                429,
-                _error_body(
-                    "overloaded",
-                    f"{self._active} request(s) in flight >= max queue "
-                    f"{self.config.max_queue}; retry later",
-                ),
-            )
-        self._active += 1
-        try:
-            key = query.cache_key()
-            cached = self.cache.get(key)
-            if cached is not None:
-                return Response(200, cached)
-            future = self.batcher.submit(key, query)
-            body = await asyncio.wait_for(
-                asyncio.shield(future), self.config.request_timeout_s
-            )
-            return Response(200, body)
-        except asyncio.TimeoutError:
-            return Response(
-                504,
-                _error_body(
-                    "timeout",
-                    f"query exceeded the per-request timeout "
-                    f"({self.config.request_timeout_s}s); it may complete "
-                    "in the background and be served from cache on retry",
-                ),
-            )
-        except WorkerCrash:
-            return Response(
-                500, _error_body("crash", "worker process died mid-request")
-            )
-        except InjectedFault as exc:
-            return Response(500, _error_body("injected-fault", str(exc)))
-        except InvariantViolation as exc:
-            return Response(500, _error_body("invariant-violation", str(exc)))
-        except QueryError as exc:
-            return Response(400, _error_body("bad-request", str(exc)))
-        except SustainableAIError as exc:
-            return Response(400, _error_body("invalid-query", str(exc)))
-        finally:
-            self._active -= 1
-
     # -- metrics -----------------------------------------------------------
 
     def metrics_payload(self) -> dict[str, object]:
@@ -424,149 +377,109 @@ class CarbonQueryService:
 
     # -- routing -----------------------------------------------------------
 
-    @staticmethod
-    def _merge_params(request: Request) -> dict[str, object]:
-        """Query-string parameters overlaid by the JSON body (POST)."""
-        params: dict[str, object] = dict(request.params)
-        params.update(request.json_body())
-        return params
-
     async def handle(self, request: Request) -> Response:
         start = time.perf_counter()
         try:
             endpoint, response, cache_state = await self._route(request)
         except Exception as exc:
-            # Answer every request: a dropped connection reads as a dead
-            # replica to the fabric router, which would eject this node.
-            # The traceback goes to the event loop's exception handler
-            # (the ``asyncio`` logger).
-            asyncio.get_running_loop().call_exception_handler(
-                {"message": f"error answering {request.method} {request.path}", "exception": exc}
-            )
-            endpoint, cache_state = "(internal-error)", None
-            response = Response(
-                500, _error_body("internal-error", f"{type(exc).__name__}: {exc}")
-            )
+            endpoint, cache_state = routes.INTERNAL_ERROR, None
+            response = routes.internal_error(request, exc)
         elapsed = time.perf_counter() - start
         self.counters.record(endpoint, response.status, elapsed, cache_state)
         return response
 
     async def _route(self, request: Request) -> tuple[str, Response, str | None]:
-        path, method = request.path.rstrip("/") or "/", request.method
-        if path == "/healthz" and method == "GET":
-            status = "draining" if self._draining else "ok"
-            from repro.experiments.registry import experiment_ids
+        found = routes.match(request)
+        if not found.allowed:
+            return found.label, routes.refusal(found), None
+        response, cache_state = await self._handlers[found.label](request, found)
+        return found.label, response, cache_state
 
-            return (
-                "/healthz",
-                Response(
-                    200,
-                    queries.render_payload(
-                        {"status": status, "experiments": len(experiment_ids())}
-                    ),
-                ),
-                None,
-            )
-        if path == "/metrics" and method == "GET":
-            return (
-                "/metrics",
-                Response(200, queries.render_payload(self.metrics_payload())),
-                None,
-            )
-        if path == "/experiments" and method == "GET":
-            from repro.experiments.registry import experiment_ids
+    async def _healthz(self, request: Request, found: routes.Match) -> _Answer:
+        from repro.experiments.registry import experiment_ids
 
-            return (
-                "/experiments",
-                Response(
-                    200, queries.render_payload({"experiments": list(experiment_ids())})
+        status = "draining" if self._draining else "ok"
+        return _document({"status": status, "experiments": len(experiment_ids())})
+
+    async def _metrics(self, request: Request, found: routes.Match) -> _Answer:
+        return _document(self.metrics_payload())
+
+    async def _experiments(self, request: Request, found: routes.Match) -> _Answer:
+        from repro.experiments.registry import experiment_ids
+
+        return _document({"experiments": list(experiment_ids())})
+
+    async def _query(self, request: Request, found: routes.Match) -> _Answer:
+        """Parse -> admission -> LRU -> batcher -> worker, with structured errors.
+
+        Answers ``/experiments/{id}``, ``/footprint`` and
+        ``/schedule/carbon-aware``.
+        """
+        try:
+            query, _transport = routes.parse(found, request)
+        except (ProtocolError, QueryError) as exc:
+            if found.kind == "experiment":
+                return Response(404, error_body("unknown-experiment", str(exc))), None
+            return _bad_request(exc)
+        if self._draining:
+            return _draining()
+        if self._active >= self.config.max_queue:
+            return Response(
+                429,
+                error_body(
+                    "overloaded",
+                    f"{self._active} request(s) in flight >= max queue "
+                    f"{self.config.max_queue}; retry later",
                 ),
-                None,
+            ), None
+        self._active += 1
+        try:
+            key = query.cache_key()
+            cached = self.cache.get(key)
+            if cached is not None:
+                return Response(200, cached), "hit"
+            future = self.batcher.submit(key, query)
+            body = await asyncio.wait_for(
+                asyncio.shield(future), self.config.request_timeout_s
             )
-        if path.startswith("/experiments/") and method == "GET":
-            experiment_id = path[len("/experiments/"):]
-            try:
-                query = queries.parse_query("experiment", {"experiment_id": experiment_id})
-            except QueryError as exc:
-                return (
-                    "/experiments/{id}",
-                    Response(404, _error_body("unknown-experiment", str(exc))),
-                    None,
-                )
-            return await self._query_endpoint("/experiments/{id}", query)
-        if path == "/footprint" and method in ("GET", "POST"):
-            return await self._parse_and_answer("/footprint", "footprint", request)
-        if path == "/schedule/carbon-aware" and method in ("GET", "POST"):
-            return await self._parse_and_answer("/schedule/carbon-aware", "schedule", request)
-        if path == "/stream" and method == "GET":
-            return await self._stream_endpoint(request)
-        if path == "/sweep" and method == "POST":
-            return self._submit_sweep(request)
-        if path == "/sweep" and method == "GET":
+            return Response(200, body), "miss"
+        except asyncio.TimeoutError:
+            return Response(
+                504,
+                error_body(
+                    "timeout",
+                    f"query exceeded the per-request timeout "
+                    f"({self.config.request_timeout_s}s); it may complete "
+                    "in the background and be served from cache on retry",
+                ),
+            ), None
+        except WorkerCrash:
+            return Response(500, error_body("crash", "worker process died mid-request")), None
+        except InjectedFault as exc:
+            return Response(500, error_body("injected-fault", str(exc))), None
+        except InvariantViolation as exc:
+            return Response(500, error_body("invariant-violation", str(exc))), None
+        except QueryError as exc:
+            return _bad_request(exc)
+        except SustainableAIError as exc:
+            return Response(400, error_body("invalid-query", str(exc))), None
+        finally:
+            self._active -= 1
+
+    async def _sweep(self, request: Request, found: routes.Match) -> _Answer:
+        """``GET /sweep`` lists the jobs; ``POST /sweep`` starts (or rejoins) one."""
+        if request.method == "GET":
             jobs = [
                 self.sweeps.jobs[sweep_id].progress_payload()
                 for sweep_id in sorted(self.sweeps.jobs)
             ]
-            return ("/sweep", Response(200, queries.render_payload({"sweeps": jobs})), None)
-        if path.startswith("/sweep/") and method == "GET":
-            return self._poll_sweep(path)
-        if path == "/ledger" and method == "GET":
-            return (
-                "/ledger",
-                Response(
-                    200,
-                    queries.render_payload(
-                        {**self.ledger.stats(), "errors": self.ledger_errors}
-                    ),
-                ),
-                None,
-            )
-        if path == "/ledger/diff" and method == "GET":
-            return self._ledger_diff(request)
-        if path == "/ledger/trace" and method == "GET":
-            return self._ledger_trace(request)
-        if path in (
-            "/healthz", "/metrics", "/experiments", "/sweep", "/ledger", "/stream",
-        ) or path.startswith(
-            ("/experiments/", "/footprint", "/schedule", "/sweep/", "/ledger/")
-        ):
-            return (
-                path,
-                Response(405, _error_body("method-not-allowed", f"{method} {path}")),
-                None,
-            )
-        return (
-            "(unknown)",
-            Response(
-                404,
-                _error_body(
-                    "not-found",
-                    f"no route for {path!r}; endpoints: /healthz, /metrics, "
-                    "/experiments, /experiments/{id}, /footprint, "
-                    "/schedule/carbon-aware, /stream, /sweep, /sweep/{id}, "
-                    "/sweep/{id}/result, /ledger, /ledger/diff, "
-                    "/ledger/trace",
-                ),
-            ),
-            None,
-        )
-
-    def _submit_sweep(self, request: Request) -> tuple[str, Response, str | None]:
-        """``POST /sweep``: parse, admit, start (or rejoin) the job."""
+            return _document({"sweeps": jobs})
         if self._draining:
-            return (
-                "/sweep",
-                Response(
-                    503,
-                    _error_body("draining", "service is shutting down; retry elsewhere"),
-                ),
-                None,
-            )
+            return _draining()
         try:
-            params = self._merge_params(request)
-            query = queries.parse_query("sweep", params)
+            query, _transport = routes.parse(found, request)
         except (ProtocolError, QueryError) as exc:
-            return "/sweep", Response(400, _error_body("bad-request", str(exc))), None
+            return _bad_request(exc)
         assert isinstance(query, queries.SweepQuery)
         from repro.service.sweeps import sweep_id_for
 
@@ -575,10 +488,9 @@ class CarbonQueryService:
             and self.sweeps.active_count() >= self.config.max_sweeps
         ):
             return (
-                "/sweep",
                 Response(
                     429,
-                    _error_body(
+                    error_body(
                         "overloaded",
                         f"{self.sweeps.active_count()} sweep(s) running >= "
                         f"max sweeps {self.config.max_sweeps}; retry later",
@@ -589,99 +501,76 @@ class CarbonQueryService:
         job, created = self.sweeps.submit(query)
         status = 202 if job.status == "running" else 200
         return (
-            "/sweep",
             Response(status, queries.render_payload(job.progress_payload())),
             "miss" if created else "hit",
         )
 
-    def _poll_sweep(self, path: str) -> tuple[str, Response, str | None]:
+    async def _poll_sweep(self, request: Request, found: routes.Match) -> _Answer:
         """``GET /sweep/{id}`` and ``GET /sweep/{id}/result``."""
-        tail = path[len("/sweep/"):]
-        want_result = tail.endswith("/result")
-        sweep_id = tail[: -len("/result")] if want_result else tail
-        endpoint = "/sweep/{id}/result" if want_result else "/sweep/{id}"
-        job = self.sweeps.get(sweep_id)
-        if job is None or "/" in sweep_id:
+        job = self.sweeps.get(found.id)
+        if job is None or "/" in found.id:
             return (
-                endpoint,
                 Response(
                     404,
-                    _error_body(
+                    error_body(
                         "unknown-sweep",
-                        f"no sweep job {sweep_id!r} (GET /sweep lists jobs)",
+                        f"no sweep job {found.id!r} (GET /sweep lists jobs)",
                     ),
                 ),
                 None,
             )
-        if not want_result:
-            return endpoint, Response(200, queries.render_payload(job.progress_payload())), None
+        if found.label == "/sweep/{id}":
+            return _document(job.progress_payload())
         if job.status == "done":
             assert job.body is not None
-            return endpoint, Response(200, job.body), "hit"
+            return Response(200, job.body), "hit"
         if job.status == "failed":
-            return (
-                endpoint,
-                Response(500, _error_body("sweep-failed", job.error or "sweep failed")),
-                None,
-            )
-        return (
-            endpoint,
-            Response(
-                409,
-                queries.render_payload(
-                    {
-                        "error": {
-                            "kind": "not-finished",
-                            "message": "sweep is still running; poll /sweep/{id}",
-                        },
-                        **job.progress_payload(),
-                    }
-                ),
-            ),
-            None,
+            return Response(500, error_body("sweep-failed", job.error or "sweep failed")), None
+        return _document(
+            {
+                "error": {
+                    "kind": "not-finished",
+                    "message": "sweep is still running; poll /sweep/{id}",
+                },
+                **job.progress_payload(),
+            },
+            409,
         )
 
-    async def _stream_endpoint(self, request: Request) -> tuple[str, Response, str | None]:
+    async def _stream(self, request: Request, found: routes.Match) -> _Answer:
         """``GET /stream``: long-poll one delta of a live intensity stream.
 
         Transport parameters (``cursor``, ``wait_s``, ``max_ticks``)
-        select which delta to serve and are stripped before the stream
+        select which delta to serve and are split off before the stream
         spec is parsed — the spec alone is the stream's identity (and
         its fabric routing key).
         """
-        endpoint = "/stream"
         if self._draining:
-            return (
-                endpoint,
-                Response(
-                    503,
-                    _error_body("draining", "service is shutting down; retry elsewhere"),
-                ),
-                None,
-            )
+            return _draining()
         try:
-            query, transport = queries.parse_stream_request(self._merge_params(request))
+            query, transport = routes.parse(found, request)
         except (ProtocolError, QueryError) as exc:
-            return endpoint, Response(400, _error_body("bad-request", str(exc))), None
+            return _bad_request(exc)
         try:
             response = await self.streams.poll(query, **transport, draining=self._stop_event)
         except InvariantViolation as exc:
-            return endpoint, Response(500, _error_body("invariant-violation", str(exc))), None
+            return Response(500, error_body("invariant-violation", str(exc))), None
         except SustainableAIError as exc:
-            return endpoint, Response(400, _error_body("invalid-query", str(exc))), None
-        return endpoint, response, None
+            return Response(400, error_body("invalid-query", str(exc))), None
+        return response, None
 
-    def _ledger_diff(self, request: Request) -> tuple[str, Response, str | None]:
+    async def _ledger_stats(self, request: Request, found: routes.Match) -> _Answer:
+        return _document({**self.ledger.stats(), "errors": self.ledger_errors})
+
+    async def _ledger_diff(self, request: Request, found: routes.Match) -> _Answer:
         """``GET /ledger/diff?a=REF&b=REF[&strict=..]``: claim-by-claim diff."""
-        endpoint = "/ledger/diff"
         ref_a = str(request.params.get("a", "")).strip()
         ref_b = str(request.params.get("b", "")).strip()
         if not ref_a or not ref_b:
             return (
-                endpoint,
                 Response(
                     400,
-                    _error_body(
+                    error_body(
                         "bad-request",
                         "diff needs two refs: /ledger/diff?a=REF&b=REF "
                         f"(known refs: {', '.join(self.ledger.refs()) or '(none)'})",
@@ -695,20 +584,18 @@ class CarbonQueryService:
         try:
             doc = self.ledger.diff_payload(ref_a, ref_b, strict=strict)
         except ledger.LedgerError as exc:
-            return endpoint, Response(400, _error_body("unknown-ref", str(exc))), None
-        return endpoint, Response(200, queries.render_payload(doc)), None
+            return Response(400, error_body("unknown-ref", str(exc))), None
+        return _document(doc)
 
-    def _ledger_trace(self, request: Request) -> tuple[str, Response, str | None]:
+    async def _ledger_trace(self, request: Request, found: routes.Match) -> _Answer:
         """``GET /ledger/trace?experiment_id=..&metric=..[&ref=..]``."""
-        endpoint = "/ledger/trace"
         experiment_id = str(request.params.get("experiment_id", "")).strip()
         metric = str(request.params.get("metric", "")).strip()
         if not experiment_id or not metric:
             return (
-                endpoint,
                 Response(
                     400,
-                    _error_body(
+                    error_body(
                         "bad-request",
                         "trace needs /ledger/trace?experiment_id=ID&metric=METRIC",
                     ),
@@ -719,30 +606,8 @@ class CarbonQueryService:
         try:
             doc = self.ledger.trace(experiment_id, metric, ref=ref)
         except ledger.LedgerError as exc:
-            return endpoint, Response(404, _error_body("unknown-claim", str(exc))), None
-        return endpoint, Response(200, queries.render_payload(doc)), None
-
-    async def _parse_and_answer(
-        self, endpoint: str, kind: str, request: Request
-    ) -> tuple[str, Response, str | None]:
-        try:
-            params = self._merge_params(request)
-            if kind == "footprint" and "workload" in params:
-                kind = "genai"  # a 'workload' selects the genai scenario queries
-            query = queries.parse_query(kind, params)
-        except (ProtocolError, QueryError) as exc:
-            return endpoint, Response(400, _error_body("bad-request", str(exc))), None
-        return await self._query_endpoint(endpoint, query)
-
-    async def _query_endpoint(
-        self, endpoint: str, query: queries.Query
-    ) -> tuple[str, Response, str | None]:
-        before_hits = self.cache.hits
-        response = await self._answer_query(endpoint, query)
-        if response.status != 200:
-            return endpoint, response, None
-        state = "hit" if self.cache.hits > before_hits else "miss"
-        return endpoint, response, state
+            return Response(404, error_body("unknown-claim", str(exc))), None
+        return _document(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,7 @@ def parse_genai(params: Mapping[str, object]) -> GenAIQuery:
     """Validate ``genai`` query parameters into a :class:`GenAIQuery`."""
     _reject_unknown("genai", params, _GENAI_PARAMS)
     workload = params.get("workload")
-    if workload not in _GENAI_UNKEYED:
+    if not isinstance(workload, str) or workload not in _GENAI_UNKEYED:
         raise QueryError(
             f"parameter 'workload' must be one of {', '.join(_GENAI_UNKEYED)}; "
             f"got {workload!r}"

@@ -69,9 +69,10 @@ from urllib.parse import urlsplit
 from repro.core import ledger
 from repro.core.canonical import canonical_bytes
 from repro.errors import QueryError, ServiceError
-from repro.service import queries
+from repro.service import queries, routes
 from repro.service.hashring import DEFAULT_VNODES, HashRing
 from repro.service.http import HttpServer, ProtocolError, Request, Response
+from repro.service.routes import error_body
 from repro.telemetry.counters import ServiceCounters
 
 __all__ = [
@@ -182,10 +183,6 @@ class Replica:
             "restarts": self.restarts,
             "proxied": self.proxied,
         }
-
-
-def _error_body(kind: str, message: str) -> bytes:
-    return queries.render_payload({"error": {"kind": kind, "message": message}})
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +361,15 @@ class CarbonQueryRouter:
         self._stop_event: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._health_task: asyncio.Task | None = None
+        #: The rows the router answers itself (``GET`` only); it forwards
+        #: every other request to the replica its ring key names.
+        self._local = {
+            "/healthz": self._healthz,
+            "/metrics": self._metrics,
+            "/sweep": self._sweep_list,
+            "/sweep/{id}": self._sweep_poll,
+            "/sweep/{id}/result": self._sweep_poll,
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -635,97 +641,50 @@ class CarbonQueryRouter:
         (including malformed queries) keys on the raw request line,
         which still gives a stable replica per distinct request.
         """
-        path = request.path.rstrip("/") or "/"
-        fallback = f"{request.method} {request.raw_target or request.path}"
-        try:
-            if path.startswith("/experiments/") and request.method == "GET":
-                query = queries.parse_query(
-                    "experiment", {"experiment_id": path[len("/experiments/"):]}
-                )
-                return "/experiments/{id}", query.cache_key()
-            params: dict[str, object] = dict(request.params)
-            params.update(request.json_body())
-            if path == "/footprint" and request.method in ("GET", "POST"):
-                kind = "genai" if "workload" in params else "footprint"
-                return "/footprint", queries.parse_query(kind, params).cache_key()
-            if path == "/schedule/carbon-aware" and request.method in ("GET", "POST"):
-                return (
-                    "/schedule/carbon-aware",
-                    queries.parse_query("schedule", params).cache_key(),
-                )
-            if path == "/sweep" and request.method == "POST":
-                return "/sweep", queries.parse_query("sweep", params).cache_key()
-            if path == "/stream" and request.method == "GET":
-                # Transport params (cursor/wait_s/max_ticks) vary per poll;
-                # the ring key is the *spec* alone, so every cursor of one
-                # stream pins to the replica holding its live frontier
-                # state (a different replica would answer via replay —
-                # byte-identical, but cold).
-                query, _transport = queries.parse_stream_request(params)
-                return "/stream", query.cache_key()
-        except (QueryError, ProtocolError):
-            pass
-        if path.startswith("/experiments/"):
-            return "/experiments/{id}", fallback
-        for endpoint in (
-            "/footprint",
-            "/schedule/carbon-aware",
-            "/sweep",
-            "/ledger",
-            "/stream",
-        ):
-            if path == endpoint or path.startswith(endpoint + "/"):
-                return endpoint, fallback
-        if path in ("/experiments", "/healthz"):
-            return path, fallback
-        return "(proxy)", fallback
+        found = routes.match(request)
+        if found.kind is not None:
+            try:
+                query, _transport = routes.parse(found, request)
+                return found.label, query.cache_key()
+            except (QueryError, ProtocolError):
+                pass
+        return found.label, f"{request.method} {request.raw_target or request.path}"
 
     async def handle(self, request: Request) -> Response:
         start = time.perf_counter()
-        endpoint, response = await self._route(request)
+        try:
+            endpoint, response = await self._route(request)
+        except Exception as exc:
+            endpoint, response = routes.INTERNAL_ERROR, routes.internal_error(request, exc)
         self.counters.record(endpoint, response.status, time.perf_counter() - start)
         return response
 
     async def _route(self, request: Request) -> tuple[str, Response]:
-        path, method = request.path.rstrip("/") or "/", request.method
-        if path == "/healthz" and method == "GET":
-            healthy = sum(1 for r in self.replicas.values() if r.healthy)
-            status = "draining" if self._draining else (
-                "ok" if healthy else "degraded"
-            )
-            return (
-                "/healthz",
-                Response(
-                    200,
-                    queries.render_payload(
-                        {
-                            "status": status,
-                            "role": "router",
-                            "replicas": {"healthy": healthy, "total": len(self.replicas)},
-                        }
-                    ),
-                ),
-            )
-        if path == "/metrics" and method == "GET":
-            doc = await self._aggregate_metrics()
-            return "/metrics", Response(200, queries.render_payload(doc))
-        if path == "/sweep" and method == "GET":
-            return "/sweep", await self._sweep_list()
-        if path.startswith("/sweep/") and method == "GET":
-            endpoint = (
-                "/sweep/{id}/result" if path.endswith("/result") else "/sweep/{id}"
-            )
-            return endpoint, await self._sweep_poll(request)
         endpoint, key = self.routing_key(request)
+        local = self._local.get(endpoint) if request.method == "GET" else None
+        if local is not None:
+            return endpoint, await local(request)
         response, replica_name = await self._forward(key, request)
-        if (
-            endpoint == "/sweep"
-            and method == "POST"
-            and replica_name is not None
-            and response.status in (200, 202)
-        ):
+        if endpoint == "/sweep" and replica_name is not None and response.status in (200, 202):
             self._pin_sweep(response.body, replica_name)
         return endpoint, response
+
+    async def _healthz(self, request: Request) -> Response:
+        healthy = sum(1 for r in self.replicas.values() if r.healthy)
+        status = "draining" if self._draining else ("ok" if healthy else "degraded")
+        return Response(
+            200,
+            queries.render_payload(
+                {
+                    "status": status,
+                    "role": "router",
+                    "replicas": {"healthy": healthy, "total": len(self.replicas)},
+                }
+            ),
+        )
+
+    async def _metrics(self, request: Request) -> Response:
+        return Response(200, queries.render_payload(await self._aggregate_metrics()))
 
     def _pin_sweep(self, body: bytes, replica_name: str) -> None:
         try:
@@ -749,7 +708,7 @@ class CarbonQueryRouter:
             return (
                 Response(
                     503,
-                    _error_body("draining", "router is shutting down; retry elsewhere"),
+                    error_body("draining", "router is shutting down; retry elsewhere"),
                 ),
                 None,
             )
@@ -770,7 +729,7 @@ class CarbonQueryRouter:
                 return (
                     Response(
                         504,
-                        _error_body(
+                        error_body(
                             "upstream-timeout",
                             f"replica {replica.name} exceeded the proxy timeout "
                             f"({self.config.proxy_timeout_s}s)",
@@ -782,7 +741,7 @@ class CarbonQueryRouter:
                 self._mark_unhealthy(replica)
                 last_response = Response(
                     502,
-                    _error_body(
+                    error_body(
                         "bad-gateway",
                         f"replica {replica.name} did not answer: {exc or type(exc).__name__}",
                     ),
@@ -800,7 +759,7 @@ class CarbonQueryRouter:
         if last_response is not None:
             return last_response, None
         return (
-            Response(502, _error_body("no-replicas", "no replica is available")),
+            Response(502, error_body("no-replicas", "no replica is available")),
             None,
         )
 
@@ -819,7 +778,7 @@ class CarbonQueryRouter:
 
     # -- sweep pass-through ------------------------------------------------
 
-    async def _sweep_list(self) -> Response:
+    async def _sweep_list(self, request: Request) -> Response:
         """``GET /sweep``: the union of every replica's job list."""
         jobs: dict[str, dict] = {}
         errors = 0
@@ -849,11 +808,8 @@ class CarbonQueryRouter:
 
     async def _sweep_poll(self, request: Request) -> Response:
         """``GET /sweep/{id}[/result]``: pinned to the job's owner."""
-        path = request.path.rstrip("/") or "/"
-        tail = path[len("/sweep/"):]
-        sweep_id = tail[: -len("/result")] if tail.endswith("/result") else tail
         target = request.raw_target or request.path
-        owner = self._sweep_owners.get(sweep_id)
+        owner = self._sweep_owners.get(routes.match(request).id)
         order: list[Replica]
         if owner is not None and owner in self.replicas:
             # The owner answers even while marked unhealthy: a managed
@@ -871,7 +827,7 @@ class CarbonQueryRouter:
             except asyncio.TimeoutError:
                 return Response(
                     504,
-                    _error_body(
+                    error_body(
                         "upstream-timeout",
                         f"sweep owner {replica.name} exceeded the proxy timeout",
                     ),
@@ -880,7 +836,7 @@ class CarbonQueryRouter:
                 self._mark_unhealthy(replica)
                 last = Response(
                     502,
-                    _error_body(
+                    error_body(
                         "bad-gateway",
                         f"replica {replica.name} did not answer: {exc or type(exc).__name__}",
                     ),

@@ -35,6 +35,7 @@ from repro.core.incremental import IncrementalAccounting
 from repro.errors import InvariantViolation
 from repro.service import queries
 from repro.service.http import Response
+from repro.service.routes import error_body
 
 #: Stream-serving defaults, shared by the CLI flags and ServiceConfig.
 DEFAULT_MAX_STREAMS = 32
@@ -43,10 +44,6 @@ DEFAULT_STREAM_MAX_WAIT_S = 10.0
 
 #: Long-poll wakeup granularity; bounds shutdown latency of held polls.
 _POLL_INTERVAL_S = 0.02
-
-
-def _error_body(kind: str, message: str) -> bytes:
-    return queries.render_payload({"error": {"kind": kind, "message": message}})
 
 
 class StreamJob:
@@ -137,7 +134,7 @@ class StreamManager:
                 self.rejected += 1
                 return Response(
                     429,
-                    _error_body(
+                    error_body(
                         "overloaded",
                         f"{len(self.jobs)} live stream(s) >= max streams "
                         f"{self.max_streams}; retry later",
@@ -149,7 +146,7 @@ class StreamManager:
         if cursor > job.total_ticks:
             return Response(
                 400,
-                _error_body(
+                error_body(
                     "bad-request",
                     f"cursor {cursor} past the end of the stream "
                     f"({job.total_ticks} ticks)",
@@ -177,7 +174,7 @@ class StreamManager:
             # data will exist; it just is not released yet here.
             return Response(
                 409,
-                _error_body(
+                error_body(
                     "cursor-ahead",
                     f"cursor {cursor} ahead of the feed clock "
                     f"({available}/{job.total_ticks} ticks released); retry",

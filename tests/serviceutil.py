@@ -2,7 +2,7 @@
 
 Not a test module (the name avoids the ``test_*.py`` pattern): it holds
 the tiny synchronous HTTP client the conformance/robustness/property
-suites and the load tests use against :func:`repro.service.start_service`
+suites and the load tests use against :func:`repro.service.app.start_service`
 instances.  Everything here speaks plain ``http.client`` so the tests
 exercise the service through a genuinely independent HTTP stack.  It also
 holds :func:`group_members`, which the killed-process tests of the service
@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.service import ServiceConfig, start_service
+from repro.service.app import ServiceConfig, start_service
 
 
 @dataclass
@@ -48,7 +48,7 @@ class ServiceClient:
             )
         return self._conn
 
-    def _request(self, method: str, path: str, body: bytes | None = None) -> HttpReply:
+    def request(self, method: str, path: str, body: bytes | None = None) -> HttpReply:
         conn = self._connection()
         try:
             conn.request(
@@ -77,10 +77,10 @@ class ServiceClient:
         return reply
 
     def get(self, path: str) -> HttpReply:
-        return self._request("GET", path)
+        return self.request("GET", path)
 
     def post(self, path: str, payload: dict) -> HttpReply:
-        return self._request("POST", path, json.dumps(payload).encode("utf-8"))
+        return self.request("POST", path, json.dumps(payload).encode("utf-8"))
 
     def close(self) -> None:
         if self._conn is not None:

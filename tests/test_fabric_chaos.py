@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.service import parse_query, render_payload
+from repro.service.queries import parse_query, render_payload
 from repro.service.hashring import HashRing
 from repro.service.loadgen import spawn_service
 from repro.service.router import RouterConfig, start_router

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.experiments.registry import experiment_ids
-from repro.service import parse_query, render_payload
+from repro.service.queries import parse_query, render_payload
 from repro.service.router import RouterConfig, start_router
 from tests.serviceutil import ServiceClient, running_service
 

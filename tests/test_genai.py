@@ -28,7 +28,7 @@ from repro.core.canonical import canonical_bytes
 from repro.energy.devices import A100_TENSOR, V100_TENSOR
 from repro.errors import QueryError, UnitError
 from repro.experiments.registry import experiment_ids, get_spec, run_experiment
-from repro.service import parse_query, render_payload
+from repro.service.queries import parse_query, render_payload
 from repro.testing.invariants import check_result
 from repro.workloads.genai import (
     MODEL_INVENTORY,

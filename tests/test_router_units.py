@@ -183,11 +183,11 @@ class TestRoutingKey:
     def test_unknown_paths_route_stably(self, router):
         first = router.routing_key(make_request(path="/nope", raw_target="/nope?x=1"))
         second = router.routing_key(make_request(path="/nope", raw_target="/nope?x=1"))
-        assert first == second == ("(proxy)", "GET /nope?x=1")
+        assert first == second == ("(unknown)", "GET /nope?x=1")
 
     def test_ledger_paths_group_under_one_endpoint_label(self, router):
         endpoint, _key = router.routing_key(make_request(path="/ledger/diff"))
-        assert endpoint == "/ledger"
+        assert endpoint == "/ledger/diff"
 
     def test_stream_cursors_share_the_spec_key(self, router):
         # Every poll of one stream must pin to one replica — the one

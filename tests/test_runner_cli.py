@@ -219,7 +219,7 @@ class TestSweepCommand:
 
     def test_json_bytes_match_service_serializer(self, tmp_path, capsys):
         """The CLI --json file is the canonical service/library bytes."""
-        from repro.service import parse_query, render_payload
+        from repro.service.queries import parse_query, render_payload
 
         target = tmp_path / "sweep.json"
         assert main(["sweep", *self.SMALL, "--quiet", "--json", str(target)]) == 0

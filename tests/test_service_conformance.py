@@ -17,7 +17,7 @@ import concurrent.futures
 import pytest
 
 from repro.experiments.registry import experiment_ids
-from repro.service import parse_query, render_payload
+from repro.service.queries import parse_query, render_payload
 from tests.serviceutil import ServiceClient, running_service
 
 pytestmark = pytest.mark.slow

@@ -477,6 +477,11 @@ MESSAGES = [
         {**BASES["sweep"][0], "ranges": [{**PUE_RANGE, "lo": 0.5}]},
         "parameter 'pue' must be in [1.0, 10.0], got 0.5",
     ),
+    (
+        "genai",
+        {"workload": ["llm-training"]},
+        "parameter 'workload' must be one of llm-training, llm-serving; got ['llm-training']",
+    ),
 ]
 
 TRANSPORT_MESSAGES = [

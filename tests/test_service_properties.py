@@ -6,7 +6,7 @@ runtime accounting self-checks fire inside the execution too) and asserts
 that every 200 response:
 
 * passes the PR-3 result-invariant registry after bridging through
-  :func:`repro.service.payload_to_result` (non-negative carbon/energy,
+  :func:`repro.service.queries.payload_to_result` (non-negative carbon/energy,
   shares inside the unit interval, finite numbers);
 * is byte-stable: repeating the identical query returns identical bytes.
 
@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.carbon.intensity import regions  # noqa: E402
 from repro.core.series import CHECK_ENV_VAR  # noqa: E402
-from repro.service import payload_to_result  # noqa: E402
+from repro.service.queries import payload_to_result  # noqa: E402
 from repro.testing.invariants import check_result  # noqa: E402
 from tests.serviceutil import running_service  # noqa: E402
 

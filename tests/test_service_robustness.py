@@ -31,8 +31,9 @@ from urllib.parse import parse_qsl
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import ServiceConfig, parse_query, queries, render_payload
-from repro.service.app import add_serve_flags, config_from_args
+from repro.service import queries
+from repro.service.app import ServiceConfig, add_serve_flags, config_from_args
+from repro.service.queries import parse_query, render_payload
 from repro.service.loadgen import build_mix
 from repro.service.router import RouterConfig, start_router
 from repro.testing import faults

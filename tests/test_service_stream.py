@@ -17,7 +17,7 @@ import pytest
 from repro.carbon.stream import StreamSpec, simulate_tick_trace, stream_delta_payload
 from repro.core.canonical import canonical_bytes
 from repro.core.ledger import GOLDEN_EPOCH, Ledger
-from repro.service import ServiceConfig
+from repro.service.app import ServiceConfig
 from repro.service.queries import render_payload
 
 from tests.serviceutil import running_service

@@ -15,10 +15,10 @@ import pytest
 
 from repro.core import memo
 from repro.errors import QueryError, TelemetryError
-from repro.service import (
+from repro.service.cache import ResponseCache
+from repro.service.queries import (
     ExperimentQuery,
     FootprintQuery,
-    ResponseCache,
     ScheduleQuery,
     execute_query_task,
     parse_query,

@@ -104,6 +104,34 @@ class TestNoScipyAtImport:
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
+class TestServiceImportsStayNarrow:
+    """``repro.service`` re-exports nothing, so a submodule loads only itself."""
+
+    def test_a_sweep_json_loads_neither_asyncio_nor_the_service(self, tmp_path):
+        target = str(tmp_path / "sweep.json")
+        loaded = _modules_after(
+            "import contextlib, io\n"
+            "from repro.experiments import runner\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    argv = ['sweep', '--param', 'pue=1.1:1.2:2', '--quiet', '--json', {target!r}]\n"
+            "    assert runner.main(argv) == 0"
+        )
+        assert [m for m in loaded if m == "asyncio" or m.startswith("repro.service")] == []
+
+    def test_the_query_model_loads_without_asyncio(self):
+        assert "asyncio" not in _modules_after("import repro.service.queries")
+
+    def test_a_pooled_run_loads_the_pool_but_not_the_service(self):
+        # ``run`` takes one id or ``all``; two ids take its pooled path.
+        loaded = _modules_after(
+            "from repro.experiments import runner\n"
+            "records = runner._run_many(['fig7', 'fig8'], jobs=2)\n"
+            "assert [record.status for record in records] == ['ok', 'ok']"
+        )
+        assert "repro.service.pool" in loaded
+        assert "repro.service.app" not in loaded
+
+
 def _panel(scores) -> PanelResult:
     return PanelResult(
         tuple(EvalResult(f"algo{i}", 0.0, float(s), 10, 1) for i, s in enumerate(scores)),
