@@ -43,19 +43,19 @@ def experiment_ids() -> tuple[str, ...]:
 def verify_experiments(baselines_path=None, jobs: int = 1):
     """Run every experiment and diff it against the golden baselines.
 
-    Returns a :class:`repro.experiments.golden.VerifyReport`; ``report.ok``
-    is the pass/fail verdict the ``sustainable-ai verify`` CLI exposes as
-    its exit code.  An experiment that failed to run is reported as a
-    ``run-failure`` drift, as ``verify`` reports it.
+    Returns a :class:`repro.core.ledger.VerifyReport`, the diff
+    ``sustainable-ai verify`` prints (:func:`repro.experiments.golden.diff_run`);
+    ``report.ok`` is the verdict that command exposes as its exit code.
+    An experiment that failed to run is a ``run-failure`` drift.
     """
     from repro.experiments import golden
     from repro.experiments.registry import experiment_ids as _ids
-    from repro.experiments.runner import _run_many, _successful_results
+    from repro.experiments.runner import _run_many
 
     records = _run_many(_ids(), jobs)
     baselines = golden.load_baselines(baselines_path or golden.DEFAULT_BASELINES_PATH)
-    report = golden.compare(baselines, _successful_results(records))
-    return golden.merge_failures(report, [r for r in records if not r.ok])
+    bundles = map(golden.bundle_from_record, records)
+    return golden.diff_run(golden.bundles_from_baselines(baselines), bundles)
 
 
 from repro.core.footprint import (

@@ -36,6 +36,7 @@ see :mod:`repro.experiments.runner`).  Setting it to ``off``, ``none`` or
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -205,21 +206,30 @@ def store(path: Path, value: object) -> bool:
     header = _MAGIC + b" " + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header)
-                handle.write(body)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, header, body)
     except OSError:
         return False
     return True
+
+
+def write_atomic(path: Path, *chunks: bytes) -> None:
+    """Replace the file at ``path`` with ``chunks``, all or nothing.
+
+    The bytes go to a temporary file in ``path``'s directory, which
+    ``os.replace`` renames over ``path``: on one filesystem a reader sees
+    the old file or the new one, never a torn one.  The temporary file is
+    removed if any step fails.  Used by the disk cache and the ledger.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def disk_stats(cache_dir: Path) -> dict[str, dict[str, int]]:

@@ -20,11 +20,11 @@ bundle's compact canonical form *excluding the timestamp*, so two runs
 that produce identical numbers from identical inputs share one bundle.
 A :class:`Ledger` persists bundles to an append-only JSONL store with
 named **runs** (one recorded execution sweep) and pinned **epochs**
-(named baselines; ``golden/baselines.json`` imports as epoch ``"0"``).
+(named baselines; :mod:`repro.experiments.golden` imports
+``golden/baselines.json`` as epoch ``"0"``).
 
-``diff_bundles`` compares two bundle sets claim by claim and is what
-``sustainable-ai verify`` now runs under the hood — the legacy
-:mod:`repro.experiments.golden` module is a compatibility shim over it.
+``diff_bundles`` compares two bundle sets claim by claim; ``sustainable-ai
+verify`` runs it against epoch ``"0"``.
 ``Ledger.trace`` resolves a headline metric back to the substrate
 content hashes that produced it, and ``Bundle.reconstruct`` replays the
 recorded payload through the canonical serializer, byte-identical to the
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +48,7 @@ from repro.core.canonical import (
     compact_object,
     content_hash,
 )
+from repro.core.diskcache import write_atomic
 from repro.core.report import format_table
 from repro.errors import SustainableAIError
 from repro.version import code_version
@@ -310,6 +311,25 @@ class Bundle:
         )
 
 
+def claims_from_headline(
+    headline: Mapping[str, object], tolerances: Mapping[str, object]
+) -> tuple[Claim, ...]:
+    """One claim per headline metric, sorted by name.
+
+    A metric's tolerance is the one ``tolerances`` names for it (``None``
+    marks it informational), else :data:`DEFAULT_REL_TOL`.
+    """
+    return tuple(
+        Claim(
+            metric=str(metric),
+            value=float(value),  # type: ignore[arg-type]
+            units=units_for_metric(str(metric)),
+            tolerance=tolerances.get(metric, DEFAULT_REL_TOL),  # type: ignore[arg-type]
+        )
+        for metric, value in sorted(headline.items())
+    )
+
+
 def bundle_from_payload(
     payload: Mapping[str, object],
     *,
@@ -331,16 +351,7 @@ def bundle_from_payload(
     if not isinstance(headline, Mapping) or not headline:
         return None
     tolerances = payload.get("tolerances")
-    tolerances = tolerances if isinstance(tolerances, Mapping) else {}
-    claims = tuple(
-        Claim(
-            metric=str(metric),
-            value=float(value),  # type: ignore[arg-type]
-            units=units_for_metric(str(metric)),
-            tolerance=tolerances.get(metric, DEFAULT_REL_TOL),  # type: ignore[arg-type]
-        )
-        for metric, value in sorted(headline.items())
-    )
+    claims = claims_from_headline(headline, tolerances if isinstance(tolerances, Mapping) else {})
     config: dict[str, object]
     #: Service payloads are named by a prefix and their config hash.
     prefix: str | None = None
@@ -380,46 +391,6 @@ def bundle_from_payload(
         provenance=provenance,
         payload=dict(payload),
     )
-
-
-def bundles_from_baselines(doc: Mapping[str, object]) -> dict[str, Bundle]:
-    """Claim bundles from a ``golden/baselines.json`` document.
-
-    The import preserves exactly what the golden file pinned: headline
-    values, per-metric tolerances, and the result shape.  Imported
-    bundles carry no payload and no substrate hashes — their provenance
-    source is ``golden-import``.
-    """
-    entries = doc.get("experiments")
-    if not isinstance(entries, Mapping):
-        raise LedgerError("baselines document lacks an 'experiments' section")
-    bundles: dict[str, Bundle] = {}
-    for experiment_id, entry in entries.items():
-        headline: Mapping[str, object] = entry.get("headline", {})  # type: ignore[union-attr]
-        tolerances: Mapping[str, object] = entry.get("tolerances", {})  # type: ignore[union-attr]
-        claims = tuple(
-            Claim(
-                metric=str(metric),
-                value=float(value),  # type: ignore[arg-type]
-                units=units_for_metric(str(metric)),
-                tolerance=tolerances.get(metric, DEFAULT_REL_TOL),  # type: ignore[arg-type]
-            )
-            for metric, value in sorted(headline.items())
-        )
-        shape = {
-            "headers": list(entry.get("headers", ())),  # type: ignore[union-attr]
-            "n_rows": entry.get("n_rows"),  # type: ignore[union-attr]
-        }
-        bundles[str(experiment_id)] = Bundle(
-            experiment_id=str(experiment_id),
-            title=str(entry.get("title", "")),  # type: ignore[union-attr]
-            status="ok",
-            claims=claims,
-            provenance=default_provenance(
-                config={"shape": shape}, source="golden-import"
-            ),
-        )
-    return bundles
 
 
 # ---------------------------------------------------------------------------
@@ -750,23 +721,9 @@ class Ledger:
     def _write_epochs(self) -> None:
         if self.directory is None:
             return
-        import os as _os
-        import tempfile
-
         self.directory.mkdir(parents=True, exist_ok=True)
-        target = self.directory / "epochs.json"
         body = canonical_dumps({"schema": SCHEMA_VERSION, "epochs": self.epochs}) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with _os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(body)
-            _os.replace(tmp, target)
-        except BaseException:
-            try:
-                _os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.directory / "epochs.json", body.encode("utf-8"))
 
     def record(self, bundle: Bundle) -> str:
         """Append one bundle (idempotent per content address)."""
@@ -992,13 +949,10 @@ class Ledger:
           are dropped, and bundles referenced by neither an epoch nor a
           surviving run are removed.
 
-        The rewrite is atomic per file (tmp + ``os.replace``).  With
+        Each journal is replaced atomically (:func:`write_atomic`).  With
         ``dry_run=True`` nothing is modified; the report shows what a
         real pass would do.  In-memory ledgers compact their dicts only.
         """
-        import os as _os
-        import tempfile
-
         pinned: set[str] = set()
         for epoch in self.epochs.values():
             mapping = epoch.get("experiments", {})
@@ -1060,19 +1014,8 @@ class Ledger:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             for name, lines in (("bundles.jsonl", bundle_out), ("runs.jsonl", run_out)):
-                target = self.directory / name
-                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-                try:
-                    with _os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        for line in lines:
-                            handle.write(line + "\n")
-                    _os.replace(tmp, target)
-                except BaseException:
-                    try:
-                        _os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                text = "".join(line + "\n" for line in lines)
+                write_atomic(self.directory / name, text.encode("utf-8"))
         self.bundles = kept_bundles
         self.runs = kept_runs
         return report
@@ -1133,8 +1076,8 @@ __all__ = [
     "Provenance",
     "default_provenance",
     "Bundle",
+    "claims_from_headline",
     "bundle_from_payload",
-    "bundles_from_baselines",
     "Drift",
     "VerifyReport",
     "diff_bundles",

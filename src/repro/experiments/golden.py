@@ -1,25 +1,17 @@
-"""Golden-baseline compatibility shim over the carbon ledger.
+"""The golden baselines: ``golden/baselines.json`` and the diff against it.
 
-Historically this module owned drift detection: it pinned every
-experiment's headline metrics into ``golden/baselines.json`` and diffed
-fresh runs against that file.  The source of truth has since moved to
-:mod:`repro.core.ledger` — an append-only, content-addressed store of
-claim bundles with provenance — and ``sustainable-ai verify`` is now a
-ledger diff against a pinned epoch (the checked-in baselines import as
-epoch ``"0"``).
+The checked-in file pins every experiment's headline metrics, with their
+tolerances, and the shape of its table.  This module owns the file: it
+reads and writes it (:func:`load_baselines`, :func:`write_baselines`),
+converts between its entries and claim bundles (:func:`build_baselines`,
+:func:`bundles_from_baselines`), pins it in a ledger as epoch ``"0"``
+(:func:`pin_golden_epoch`), and diffs a run against that epoch
+(:func:`diff_run`) — the diff ``sustainable-ai verify`` and
+:func:`repro.verify_experiments` both report.
 
-What remains here is the experiment-facing surface:
-
-* the baselines *file* format (:func:`load_baselines`,
-  :func:`write_baselines`, :func:`snapshot`, :func:`build_baselines`) —
-  still the checked-in, diff-friendly representation of epoch 0;
-* bridges from experiment results/records to claim bundles
-  (:func:`bundle_from_result`, :func:`bundle_from_record`,
-  :func:`bundles_from_results`);
-* the legacy API (:func:`compare`, :func:`merge_failures`,
-  :class:`Drift`, :class:`VerifyReport`), now thin delegations to
-  :func:`repro.core.ledger.diff_bundles` / ``fold_failures`` — reports
-  and exit codes are byte-identical to the pre-ledger implementation.
+A run reaches the diff as claim bundles: :func:`bundle_from_record` makes
+a result's bundle with :func:`repro.core.ledger.bundle_from_payload`, the
+function the service records with too.
 
 A tolerance of ``null`` in the JSON marks a metric informational — its
 value is recorded for audit but never failed on (used for wall-clock
@@ -30,23 +22,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.core import ledger
 from repro.core.canonical import canonical_dumps
-from repro.core.ledger import (  # noqa: F401  (legacy re-exports)
-    Bundle,
-    Claim,
-    Drift,
-    VerifyReport,
-    bundles_from_baselines,
-    diff_bundles,
-    fold_failures,
-    units_for_metric,
-)
+
+# :func:`diff_run` calls these two as attributes of this module, so the
+# benchmark (perfbench/launch.py) can wrap them to time the diff.
+from repro.core.ledger import Bundle, VerifyReport, diff_bundles, fold_failures
 from repro.errors import SustainableAIError
-from repro.experiments.base import ExperimentResult, RunRecord
-from repro.experiments.registry import DEFAULT_REL_TOL, get_spec  # noqa: F401
+from repro.experiments.base import RunRecord
 
 SCHEMA_VERSION = 1
 
@@ -58,24 +43,23 @@ class BaselineError(SustainableAIError, ValueError):
     """The baselines file is missing, malformed, or incompatible."""
 
 
-def snapshot(result: ExperimentResult) -> dict[str, object]:
-    """Baseline entry for one result: headline, tolerances, row shape."""
-    spec = get_spec(result.experiment_id)
-    headline = {k: float(v) for k, v in sorted(result.headline.items())}
+def snapshot(bundle: Bundle) -> dict[str, object]:
+    """Baseline entry for one bundle: headline, tolerances, row shape."""
+    shape = bundle.shape() or {}
     return {
-        "title": result.title,
-        "headline": headline,
-        "tolerances": {k: spec.tolerance_for(k, result) for k in headline},
-        "headers": list(result.headers),
-        "n_rows": len(result.rows),
+        "title": bundle.title,
+        "headline": bundle.headline(),
+        "tolerances": {claim.metric: claim.tolerance for claim in bundle.claims},
+        "headers": list(shape.get("headers", ())),  # type: ignore[call-overload]
+        "n_rows": shape.get("n_rows"),
     }
 
 
-def build_baselines(results: Mapping[str, ExperimentResult]) -> dict[str, object]:
-    """Full baselines document for a run of (typically all) experiments."""
+def build_baselines(bundles: Iterable[Bundle]) -> dict[str, object]:
+    """Full baselines document for a run's bundles (typically of all experiments)."""
     return {
         "schema": SCHEMA_VERSION,
-        "experiments": {eid: snapshot(res) for eid, res in results.items()},
+        "experiments": {bundle.experiment_id: snapshot(bundle) for bundle in bundles},
     }
 
 
@@ -108,56 +92,56 @@ def load_baselines(path: Path) -> dict[str, object]:
     return data
 
 
-# ---------------------------------------------------------------------------
-# Result/record -> claim bundle bridges
-# ---------------------------------------------------------------------------
+def bundles_from_baselines(doc: Mapping[str, object]) -> dict[str, Bundle]:
+    """Claim bundles from a baselines document.
 
-
-def bundle_from_result(
-    result: ExperimentResult,
-    *,
-    substrates: Sequence[tuple[str, str | None]] = (),
-    invariant_status: str = "not-checked",
-    recorded_at: float | None = None,
-    source: str = "runner",
-) -> Bundle:
-    """A claim bundle for one successful experiment result.
-
-    Claims mirror the golden snapshot exactly — sorted headline metrics
-    with the registry's per-metric tolerances — and the bundle carries
-    the full result payload, so any historical report can be
-    reconstructed byte-identically from the ledger.
+    The import preserves exactly what the file pinned: headline values,
+    per-metric tolerances, and the result shape.  Imported bundles carry
+    no payload and no substrate hashes — their provenance source is
+    ``golden-import``.
     """
-    spec = get_spec(result.experiment_id)
-    claims = tuple(
-        Claim(
-            metric=metric,
-            value=float(value),
-            units=units_for_metric(metric),
-            tolerance=spec.tolerance_for(metric, result),
+    entries = doc.get("experiments")
+    if not isinstance(entries, Mapping):
+        raise ledger.LedgerError("baselines document lacks an 'experiments' section")
+    return {
+        str(experiment_id): Bundle(
+            experiment_id=str(experiment_id),
+            title=str(entry.get("title", "")),
+            status="ok",
+            claims=ledger.claims_from_headline(
+                entry.get("headline", {}), entry.get("tolerances", {})
+            ),
+            provenance=ledger.default_provenance(
+                config={
+                    "shape": {
+                        "headers": list(entry.get("headers", ())),
+                        "n_rows": entry.get("n_rows"),
+                    }
+                },
+                source="golden-import",
+            ),
         )
-        for metric, value in sorted(result.headline.items())
-    )
-    config = {
-        "shape": {
-            "headers": list(result.headers),
-            "n_rows": len(result.rows),
-        }
+        for experiment_id, entry in entries.items()
     }
-    return Bundle(
-        experiment_id=result.experiment_id,
-        title=result.title,
-        status="ok",
-        claims=claims,
-        provenance=ledger.default_provenance(
-            config=config,
-            substrates=substrates,
-            invariant_status=invariant_status,
-            recorded_at=recorded_at,
-            source=source,
-        ),
-        payload=result.to_payload(),
+
+
+def pin_golden_epoch(
+    led: ledger.Ledger, path: Path = DEFAULT_BASELINES_PATH, *, replace: bool = False
+) -> bool:
+    """Pin the baselines file at ``path`` as epoch ``"0"`` of ``led``.
+
+    An epoch ``"0"`` already pinned stays unless ``replace`` is set.
+    Returns whether it pinned; a missing or malformed file raises
+    :class:`BaselineError`, which each caller handles its own way.
+    """
+    if ledger.GOLDEN_EPOCH in led.epochs and not replace:
+        return False
+    led.pin_epoch(
+        ledger.GOLDEN_EPOCH,
+        bundles_from_baselines(load_baselines(path)),
+        meta={"source": "golden-import", "path": str(path)},
     )
+    return True
 
 
 def bundle_from_record(
@@ -169,29 +153,26 @@ def bundle_from_record(
 ) -> Bundle:
     """A claim bundle for one run record — success *or* structured failure.
 
-    Failed records produce claimless ``status="failed"`` bundles carrying
-    the structured error (kind, message, attempts), so a crashed run is
-    ledgered as honestly as a passing one.
+    A failed record produces a claimless ``status="failed"`` bundle
+    carrying the structured error (kind, message, attempts), so a crashed
+    run is ledgered as honestly as a passing one.
     """
+    provenance = dict(
+        substrates=record.substrates,
+        invariant_status=invariant_status,
+        recorded_at=recorded_at,
+        source=source,
+    )
     if record.ok:
-        return bundle_from_result(
-            record.result(),
-            substrates=record.substrates,
-            invariant_status=invariant_status,
-            recorded_at=recorded_at,
-            source=source,
-        )
+        bundle = ledger.bundle_from_payload(record.payload or {}, **provenance)  # type: ignore
+        assert bundle is not None, "a result payload always yields a bundle"
+        return bundle
     return Bundle(
         experiment_id=record.experiment_id,
         title="",
         status="failed",
         claims=(),
-        provenance=ledger.default_provenance(
-            substrates=record.substrates,
-            invariant_status=invariant_status,
-            recorded_at=recorded_at,
-            source=source,
-        ),
+        provenance=ledger.default_provenance(**provenance),  # type: ignore[arg-type]
         error={
             "kind": record.error_kind or "exception",
             "message": record.error_message or "",
@@ -200,52 +181,17 @@ def bundle_from_record(
     )
 
 
-def bundles_from_results(
-    results: Mapping[str, ExperimentResult],
-    *,
-    invariant_status: str = "not-checked",
-    recorded_at: float | None = None,
-    source: str = "runner",
-) -> dict[str, Bundle]:
-    """Claim bundles for a result mapping, preserving iteration order."""
-    return {
-        eid: bundle_from_result(
-            result,
-            invariant_status=invariant_status,
-            recorded_at=recorded_at,
-            source=source,
-        )
-        for eid, result in results.items()
-    }
-
-
-# ---------------------------------------------------------------------------
-# Legacy diff API (delegates to the ledger)
-# ---------------------------------------------------------------------------
-
-
-def compare(
-    baselines: Mapping[str, object],
-    results: Mapping[str, ExperimentResult],
-    strict: bool = True,
+def diff_run(
+    baseline: Mapping[str, Bundle], bundles: Iterable[Bundle], strict: bool = True
 ) -> VerifyReport:
-    """Diff a run against baselines (now a ledger claim diff).
+    """Diff one run's bundles against a baseline epoch, claim by claim.
 
-    ``strict`` also flags baseline entries with no corresponding result
-    (stale baselines); disable it when intentionally verifying a subset.
+    A failed bundle has no claims to diff: its baseline entry becomes a
+    ``run-failure`` drift carrying the error, not a stale baseline.
+    ``strict`` also flags baseline entries the run has no bundle for;
+    disable it when intentionally verifying a subset.
     """
-    baseline_bundles = bundles_from_baselines(baselines)
-    current_bundles = bundles_from_results(results)
-    return diff_bundles(baseline_bundles, current_bundles, strict=strict)
-
-
-def merge_failures(report: VerifyReport, failed_records) -> VerifyReport:
-    """Fold failed :class:`~repro.experiments.base.RunRecord`s into a report.
-
-    A crashed/timed-out experiment produced no result, so :func:`compare`
-    would misreport its baseline as stale; this replaces those stale
-    entries with honest ``run-failure`` drifts carrying the structured
-    error, keeping `verify`'s exit nonzero and its table complete.
-    """
-    failed_bundles = [bundle_from_record(record) for record in failed_records]
-    return fold_failures(report, failed_bundles)
+    bundles = list(bundles)
+    current = {bundle.experiment_id: bundle for bundle in bundles if bundle.ok}
+    failed = [bundle for bundle in bundles if not bundle.ok]
+    return fold_failures(diff_bundles(baseline, current, strict=strict), failed)

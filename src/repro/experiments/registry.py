@@ -2,9 +2,9 @@
 
 Each experiment is registered as an :class:`ExperimentSpec` rather than a
 bare callable.  The spec carries the category that fixes the listing order
-(figures, in-text metrics, appendix, ablations, extensions), the runner,
-and the per-metric relative tolerances the golden-baseline verifier
-(:mod:`repro.experiments.golden`) applies to its headline numbers.
+(figures, in-text metrics, appendix, ablations, extensions) and the runner.
+A result declares its own headline tolerances
+(:attr:`~repro.experiments.base.ExperimentResult.tolerances`).
 
 :func:`run_experiment` also seeds the *global* RNGs (``random`` and the
 legacy numpy generator) from a stable hash of the experiment id before
@@ -18,13 +18,11 @@ from __future__ import annotations
 import difflib
 import hashlib
 import random
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.core.ledger import DEFAULT_REL_TOL
 from repro.errors import RegistryError
 from repro.experiments import (
     ablations,
@@ -57,22 +55,14 @@ CATEGORY_ORDER: tuple[str, ...] = (
     "extension",
 )
 
-# DEFAULT_REL_TOL (the default per-metric relative tolerance for golden
-# verification) is shared with ledger claims — imported from
-# repro.core.ledger so the registry and the ledger can never disagree
-# about what "default tolerance" means.  Re-exported here for the
-# experiment-facing import path.
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: id, category, runner, tolerance metadata."""
+    """One registered experiment: id, category, runner."""
 
     experiment_id: str
     category: str
     runner: Callable[[], ExperimentResult]
-    tolerances: Mapping[str, float | None] = field(default_factory=dict)
-    rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self) -> None:
         if self.category not in CATEGORY_ORDER:
@@ -80,22 +70,6 @@ class ExperimentSpec:
                 f"unknown category {self.category!r} for "
                 f"{self.experiment_id!r}; known: {', '.join(CATEGORY_ORDER)}"
             )
-        object.__setattr__(self, "tolerances", MappingProxyType(dict(self.tolerances)))
-
-    def tolerance_for(
-        self, metric: str, result: ExperimentResult | None = None
-    ) -> float | None:
-        """Relative tolerance for one headline metric.
-
-        Resolution order: spec override, then the tolerance the result
-        itself declared, then the spec-wide default.  ``None`` marks the
-        metric informational (never failed on).
-        """
-        if metric in self.tolerances:
-            return self.tolerances[metric]
-        if result is not None and metric in result.tolerances:
-            return result.tolerances[metric]
-        return self.rel_tol
 
 
 _SPECS: tuple[ExperimentSpec, ...] = (

@@ -396,42 +396,13 @@ def _check_invariants(records: Sequence[RunRecord]) -> int:
     return 0 if report.ok else 1
 
 
-def _ensure_golden_epoch(
-    led: ledger.Ledger, baselines_path: Path, force: bool = False
-) -> bool:
-    """Import the checked-in baselines as epoch ``"0"`` if not yet pinned.
-
-    Returns True when an import happened.  A missing baselines file is
-    not an error here — a fresh ledger simply starts without the golden
-    epoch (``ledger diff``/``trace`` report unknown refs normally).
-    """
-    if not force and ledger.GOLDEN_EPOCH in led.epochs:
-        return False
-    if not Path(baselines_path).exists():
-        return False
-    doc = golden.load_baselines(baselines_path)
-    led.pin_epoch(
-        ledger.GOLDEN_EPOCH,
-        golden.bundles_from_baselines(doc),
-        meta={"source": "golden-import", "path": str(baselines_path)},
-    )
-    return True
-
-
 def _bundles_from_records(
-    records: Sequence[RunRecord],
-    *,
-    invariant_status: str,
-    recorded_at: float,
-    source: str = "runner",
-) -> list:
+    records: Sequence[RunRecord], *, invariant_status: str, recorded_at: float
+) -> list[ledger.Bundle]:
     """One claim bundle per record — successes and structured failures."""
     return [
         golden.bundle_from_record(
-            record,
-            invariant_status=invariant_status,
-            recorded_at=recorded_at,
-            source=source,
+            record, invariant_status=invariant_status, recorded_at=recorded_at
         )
         for record in records
     ]
@@ -467,7 +438,7 @@ def _ledger_command(
         bundles = _bundles_from_records(
             records, invariant_status=invariant_status, recorded_at=recorded_at
         )
-        if _ensure_golden_epoch(led, golden.DEFAULT_BASELINES_PATH):
+        if golden.DEFAULT_BASELINES_PATH.exists() and golden.pin_golden_epoch(led):
             print(f"imported golden baselines as epoch {ledger.GOLDEN_EPOCH!r}")
         run_id = led.record_run(
             bundles,
@@ -1197,7 +1168,7 @@ def _main(argv: list[str] | None) -> int:
     # -- verify ------------------------------------------------------------
     # Drift detection is a ledger diff: the checked-in baselines import as
     # epoch "0", this run's records become claim bundles, and the report
-    # is the claim-by-claim diff (byte-identical to the legacy compare).
+    # is the claim-by-claim diff of the two (golden.diff_run).
     baselines_path = (
         Path(args.baselines) if args.baselines else golden.DEFAULT_BASELINES_PATH
     )
@@ -1211,7 +1182,6 @@ def _main(argv: list[str] | None) -> int:
         experiment_ids(), jobs, echo=echo, retries=retries, timeout=timeout
     )
     failed = [r for r in records if not r.ok]
-    results = _successful_results(records)
     ledger_dir = ledger.resolve_ledger_dir(getattr(args, "ledger_dir", None))
     recorded_at = time.time()
     if args.update:
@@ -1230,13 +1200,11 @@ def _main(argv: list[str] | None) -> int:
                 file=sys.stderr,
             )
             return 1
-        golden.write_baselines(baselines_path, golden.build_baselines(results))
-        print(f"wrote {len(results)} baseline(s) to {baselines_path}")
+        bundles = _bundles_from_records(records, invariant_status="ok", recorded_at=recorded_at)
+        golden.write_baselines(baselines_path, golden.build_baselines(bundles))
+        print(f"wrote {len(bundles)} baseline(s) to {baselines_path}")
         if ledger_dir is not None:
             led = ledger.Ledger.open(ledger_dir)
-            bundles = _bundles_from_records(
-                records, invariant_status="ok", recorded_at=recorded_at
-            )
             run_id = led.record_run(
                 bundles,
                 recorded_at=recorded_at,
@@ -1258,18 +1226,12 @@ def _main(argv: list[str] | None) -> int:
     if args.check_invariants:
         from repro.testing.invariants import check_results
 
-        invariant_report = check_results(results)
+        invariant_report = check_results(_successful_results(records))
         invariant_status = "ok" if invariant_report.ok else "violated"
 
     led = ledger.Ledger.open(ledger_dir) if ledger_dir else ledger.Ledger.in_memory()
     try:
-        if args.baselines or ledger.GOLDEN_EPOCH not in led.epochs:
-            doc = golden.load_baselines(baselines_path)
-            led.pin_epoch(
-                ledger.GOLDEN_EPOCH,
-                golden.bundles_from_baselines(doc),
-                meta={"source": "golden-import", "path": str(baselines_path)},
-            )
+        golden.pin_golden_epoch(led, baselines_path, replace=bool(args.baselines))
     except golden.BaselineError as exc:
         return _usage_error(str(exc.args[0] if exc.args else exc))
     bundles = _bundles_from_records(
@@ -1277,12 +1239,7 @@ def _main(argv: list[str] | None) -> int:
     )
     if ledger_dir is not None:
         led.record_run(bundles, recorded_at=recorded_at, meta={"command": "verify"})
-    baseline_bundles = led.resolve(ledger.GOLDEN_EPOCH)
-    current_ok = {b.experiment_id: b for b in bundles if b.ok}
-    failed_bundles = [b for b in bundles if not b.ok]
-    report = golden.fold_failures(
-        golden.diff_bundles(baseline_bundles, current_ok), failed_bundles
-    )
+    report = golden.diff_run(led.resolve(ledger.GOLDEN_EPOCH), bundles)
     print(report.render())
     status = 0 if report.ok else 1
     if invariant_report is not None:

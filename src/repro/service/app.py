@@ -43,7 +43,7 @@ from repro.errors import (
     ServiceError,
     SustainableAIError,
 )
-from repro.experiments import profiling
+from repro.experiments import golden, profiling
 from repro.service import queries, routes
 from repro.service.routes import error_body
 from repro.service.streams import (
@@ -161,7 +161,13 @@ class CarbonQueryService:
         )
         self.ledger_errors = 0
         self.ledger_gc_runs = 0
-        self._seed_golden_epoch()
+        # Epoch "0" is best-effort: without a baselines file (or with a
+        # corrupt one) the service still serves queries.
+        if golden.DEFAULT_BASELINES_PATH.exists():
+            try:
+                golden.pin_golden_epoch(self.ledger)
+            except Exception:
+                self.ledger_errors += 1
         self.worker_stats: dict[str, dict[str, int]] = {}
         self.port: int | None = None
         self.pool = WorkerPool(config.workers) if config.workers else None
@@ -195,7 +201,12 @@ class CarbonQueryService:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._started_monotonic = time.monotonic()
-        server = HttpServer(self.handle, self.config.host, self.config.port)
+        server = HttpServer(
+            self.handle,
+            self.config.host,
+            self.config.port,
+            malformed=routes.malformed(self.counters),
+        )
         await server.start()
         self.port = server.port
         gc_task: asyncio.Task | None = None
@@ -223,30 +234,6 @@ class CarbonQueryService:
                 Path(self.config.metrics_json).write_bytes(
                     canonical_bytes(self.metrics_payload())
                 )
-
-    def _seed_golden_epoch(self) -> None:
-        """Pin ``golden/baselines.json`` as epoch "0" when it is missing.
-
-        Best-effort: a service without a baselines file (or with a corrupt
-        one) still serves queries — it just cannot diff against the golden
-        epoch until one is pinned.
-        """
-        if ledger.GOLDEN_EPOCH in self.ledger.epochs:
-            return
-        from repro.experiments import golden
-
-        path = golden.DEFAULT_BASELINES_PATH
-        if not path.exists():
-            return
-        try:
-            bundles = ledger.bundles_from_baselines(golden.load_baselines(path))
-            self.ledger.pin_epoch(
-                ledger.GOLDEN_EPOCH,
-                bundles,
-                meta={"source": "golden-import", "path": str(path)},
-            )
-        except Exception:
-            self.ledger_errors += 1
 
     async def _ledger_gc_loop(self) -> None:
         """Periodic ``ledger gc`` compaction of the growing ``service`` run.

@@ -172,6 +172,9 @@ class HttpServer:
     handler: Handler
     host: str = "127.0.0.1"
     port: int = 0
+    #: The answer to bytes that do not parse as a request, after which the
+    #: connection closes (:func:`repro.service.routes.malformed`).
+    malformed: Callable[[ProtocolError], Response] = field(kw_only=True)
     _server: asyncio.AbstractServer | None = None
     _connections: dict[asyncio.Task, _Connection] = field(default_factory=dict)
     _draining: bool = False
@@ -206,10 +209,7 @@ class HttpServer:
                 try:
                     request = await _read_request(reader)
                 except ProtocolError as exc:
-                    body = json.dumps(
-                        {"error": {"kind": "bad-request", "message": str(exc)}}
-                    ).encode()
-                    writer.write(Response(400, body, close=True).encode())
+                    writer.write(self.malformed(exc).encode())
                     await writer.drain()
                     return
                 if request is None:

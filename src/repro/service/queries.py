@@ -650,13 +650,11 @@ def execute_sweep_chunk_task(
 # ---------------------------------------------------------------------------
 
 #: ``/stream`` spec knobs: :class:`~repro.carbon.stream.StreamSpec`'s rows
-#: and defaults, with a year's horizon and 31-bit seeds.
+#: and defaults, with a year's horizon.
 _STREAM = knobs.with_defaults(knobs.STREAM, StreamSpec())
 _STREAM_KNOBS: dict[str, Knob] = {
     **_STREAM,
     "hours": _STREAM["hours"]._replace(hi=MAX_SERVICE_STREAM_HOURS),
-    "grid_seed": _STREAM["grid_seed"]._replace(hi=2**31 - 1),
-    "feed_seed": _STREAM["feed_seed"]._replace(hi=2**31 - 1),
 }
 
 #: ``/stream`` transport knobs: they select *which delta* of a stream to

@@ -102,6 +102,8 @@ MAX_POOLED_CONNECTIONS = 32
 
 #: Transport-level failures that mean "this replica did not answer".
 _TRANSPORT_ERRORS = (OSError, asyncio.IncompleteReadError, ProtocolError)
+#: Every failure of one upstream exchange (see ``_upstream_failure``).
+_UPSTREAM_ERRORS = (asyncio.TimeoutError, *_TRANSPORT_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -386,7 +388,12 @@ class CarbonQueryRouter:
             except BaseException:
                 self._stop_replicas()
                 raise
-        server = HttpServer(self.handle, self.config.host, self.config.port)
+        server = HttpServer(
+            self.handle,
+            self.config.host,
+            self.config.port,
+            malformed=routes.malformed(self.counters),
+        )
         try:
             await server.start()
             self.port = server.port
@@ -519,9 +526,7 @@ class CarbonQueryRouter:
                 self._request(replica, "GET", "/healthz"), probe_timeout
             )
             ok = status == 200
-        except asyncio.TimeoutError:
-            ok = False
-        except _TRANSPORT_ERRORS:
+        except _UPSTREAM_ERRORS:
             ok = False
         if ok:
             replica.consecutive_failures = 0
@@ -725,27 +730,10 @@ class CarbonQueryRouter:
                 status, _headers, body = await self._exchange(
                     replica, request.method, target, request.body, content_type
                 )
-            except asyncio.TimeoutError:
-                return (
-                    Response(
-                        504,
-                        error_body(
-                            "upstream-timeout",
-                            f"replica {replica.name} exceeded the proxy timeout "
-                            f"({self.config.proxy_timeout_s}s)",
-                        ),
-                    ),
-                    replica.name,
-                )
-            except _TRANSPORT_ERRORS as exc:
-                self._mark_unhealthy(replica)
-                last_response = Response(
-                    502,
-                    error_body(
-                        "bad-gateway",
-                        f"replica {replica.name} did not answer: {exc or type(exc).__name__}",
-                    ),
-                )
+            except _UPSTREAM_ERRORS as exc:
+                last_response = self._upstream_failure(replica, exc)
+                if last_response.status == 504:
+                    return last_response, replica.name
                 continue
             replica.proxied += 1
             if status in (500, 503) and attempted < len(candidates):
@@ -762,6 +750,23 @@ class CarbonQueryRouter:
             Response(502, error_body("no-replicas", "no replica is available")),
             None,
         )
+
+    def _upstream_failure(self, replica: Replica, exc: BaseException) -> Response:
+        """The answer for an exchange with ``replica`` that raised ``exc``.
+
+        A timeout is a ``504``, final: the replica may still be executing
+        the request.  Any other failure is a ``502`` that ejects the
+        replica, and the caller may try the next one.
+        """
+        if isinstance(exc, asyncio.TimeoutError):
+            message = (
+                f"replica {replica.name} exceeded the proxy timeout "
+                f"({self.config.proxy_timeout_s}s)"
+            )
+            return Response(504, error_body("upstream-timeout", message))
+        self._mark_unhealthy(replica)
+        message = f"replica {replica.name} did not answer: {exc or type(exc).__name__}"
+        return Response(502, error_body("bad-gateway", message))
 
     async def _exchange(
         self,
@@ -787,7 +792,7 @@ class CarbonQueryRouter:
                 status, _headers, body = await self._exchange(
                     replica, "GET", "/sweep", b"", None
                 )
-            except (asyncio.TimeoutError, *_TRANSPORT_ERRORS):
+            except _UPSTREAM_ERRORS:
                 errors += 1
                 continue
             if status != 200:
@@ -824,23 +829,10 @@ class CarbonQueryRouter:
                 status, _headers, body = await self._exchange(
                     replica, "GET", target, b"", None
                 )
-            except asyncio.TimeoutError:
-                return Response(
-                    504,
-                    error_body(
-                        "upstream-timeout",
-                        f"sweep owner {replica.name} exceeded the proxy timeout",
-                    ),
-                )
-            except _TRANSPORT_ERRORS as exc:
-                self._mark_unhealthy(replica)
-                last = Response(
-                    502,
-                    error_body(
-                        "bad-gateway",
-                        f"replica {replica.name} did not answer: {exc or type(exc).__name__}",
-                    ),
-                )
+            except _UPSTREAM_ERRORS as exc:
+                last = self._upstream_failure(replica, exc)
+                if last.status == 504:
+                    return last
                 continue
             replica.proxied += 1
             if status == 404 and owner is None and replica is not order[-1]:
@@ -860,7 +852,7 @@ class CarbonQueryRouter:
                 status, _headers, body = await self._exchange(
                     replica, "GET", "/metrics", b"", None
                 )
-            except (asyncio.TimeoutError, *_TRANSPORT_ERRORS):
+            except _UPSTREAM_ERRORS:
                 continue
             if status == 200:
                 try:

@@ -10,22 +10,25 @@ for the request's ring key, so a request counts under one label in
 
 A path no row matches is a ``404``; a path a row matches, by a method the
 row does not answer, is a ``405`` counted under the row's label.  So
-whatever paths clients send, ``/metrics`` counts under the rows' labels,
-:data:`UNKNOWN` and :data:`INTERNAL_ERROR` only.  docs/SERVICE.md shows
-the table.
+whatever clients send, ``/metrics`` counts under the rows' labels,
+:data:`UNKNOWN`, :data:`INTERNAL_ERROR` and :data:`MALFORMED` only.
+docs/SERVICE.md shows the table.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from repro.service import queries
-from repro.service.http import Request, Response
+from repro.service.http import ProtocolError, Request, Response
+from repro.telemetry.counters import ServiceCounters
 
-#: The labels of a request no row matches, and of an exception no route maps.
+#: The labels of a request no row matches, of an exception no route maps,
+#: and of bytes that do not parse as a request.
 UNKNOWN = "(unknown)"
 INTERNAL_ERROR = "(internal-error)"
+MALFORMED = "(malformed)"
 
 
 class Route(NamedTuple):
@@ -136,6 +139,21 @@ def refusal(found: Match) -> Response:
         message = f"no route for {found.path!r}; endpoints: {_ENDPOINTS}"
         return Response(404, error_body("not-found", message))
     return Response(405, error_body("method-not-allowed", f"{found.method} {found.path}"))
+
+
+def malformed(counters: ServiceCounters) -> Callable[[ProtocolError], Response]:
+    """How a server counting into ``counters`` answers bytes that are not a request.
+
+    The answer is a ``400``/``bad-request`` that closes the connection,
+    counted under :data:`MALFORMED`.  No handler ran, so its latency
+    counts as zero.
+    """
+
+    def answer(exc: ProtocolError) -> Response:
+        counters.record(MALFORMED, 400, 0.0)
+        return Response(400, error_body("bad-request", str(exc)), close=True)
+
+    return answer
 
 
 def internal_error(request: Request, exc: Exception) -> Response:

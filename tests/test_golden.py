@@ -1,4 +1,4 @@
-"""Golden-baseline subsystem tests: snapshot, compare, drift detection.
+"""Golden-baseline subsystem tests: snapshot, the run diff, drift detection.
 
 The integration test diffs the checked-in ``golden/baselines.json``
 against a real full run (shared session fixture), which is what
@@ -10,9 +10,9 @@ import json
 import pytest
 
 import repro
+from repro.core.ledger import DEFAULT_REL_TOL
 from repro.experiments import golden, registry
-from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import DEFAULT_REL_TOL, get_spec
+from repro.experiments.base import ExperimentResult, RunRecord
 
 
 def _result(headline, experiment_id="fig7", rows=((1, 2),), tolerances=None):
@@ -26,32 +26,38 @@ def _result(headline, experiment_id="fig7", rows=((1, 2),), tolerances=None):
     )
 
 
+def _bundle(result):
+    """The claim bundle ``verify`` builds for a successful result."""
+    record = RunRecord(result.experiment_id, "ok", 1, payload=result.to_payload())
+    return golden.bundle_from_record(record)
+
+
+def _diff(baselines, results, strict=True):
+    """A run of ``results`` diffed against a baselines document, as ``verify`` does."""
+    bundles = [_bundle(result) for result in results.values()]
+    return golden.diff_run(golden.bundles_from_baselines(baselines), bundles, strict=strict)
+
+
 class TestSnapshot:
     def test_snapshot_shape(self):
-        snap = golden.snapshot(_result({"x": 1.0, "a": 2.0}))
+        snap = golden.snapshot(_bundle(_result({"x": 1.0, "a": 2.0})))
         assert list(snap["headline"]) == ["a", "x"]  # sorted for stable diffs
         assert snap["tolerances"] == {"a": DEFAULT_REL_TOL, "x": DEFAULT_REL_TOL}
         assert snap["headers"] == ["a", "b"]
         assert snap["n_rows"] == 1
 
     def test_result_tolerances_flow_into_snapshot(self):
-        snap = golden.snapshot(_result({"x": 1.0}, tolerances={"x": None}))
+        snap = golden.snapshot(_bundle(_result({"x": 1.0}, tolerances={"x": None})))
         assert snap["tolerances"] == {"x": None}
-
-    def test_spec_tolerance_overrides_default(self):
-        spec = get_spec("fig7")
-        assert spec.tolerance_for("anything") == DEFAULT_REL_TOL
-        result = _result({"x": 1.0}, tolerances={"x": 0.5})
-        assert spec.tolerance_for("x", result) == 0.5
 
 
 class TestCompare:
     def _baselines(self, result):
-        return golden.build_baselines({result.experiment_id: result})
+        return golden.build_baselines([_bundle(result)])
 
     def test_identical_run_is_ok(self):
         result = _result({"x": 1.0})
-        report = golden.compare(self._baselines(result), {"fig7": result})
+        report = _diff(self._baselines(result), {"fig7": result})
         assert report.ok
         assert report.n_experiments == 1
         assert report.n_metrics == 1
@@ -59,7 +65,7 @@ class TestCompare:
 
     def test_metric_drift_detected(self):
         base = self._baselines(_result({"x": 1.0}))
-        report = golden.compare(base, {"fig7": _result({"x": 1.0001})})
+        report = _diff(base, {"fig7": _result({"x": 1.0001})})
         assert not report.ok
         (drift,) = report.drifts
         assert drift.kind == "metric-drift"
@@ -69,43 +75,43 @@ class TestCompare:
 
     def test_within_tolerance_passes(self):
         base = self._baselines(_result({"x": 1.0}, tolerances={"x": 0.01}))
-        report = golden.compare(base, {"fig7": _result({"x": 1.0001})})
+        report = _diff(base, {"fig7": _result({"x": 1.0001})})
         assert report.ok
 
     def test_informational_metric_never_fails(self):
         base = self._baselines(_result({"x": 1.0}, tolerances={"x": None}))
-        report = golden.compare(base, {"fig7": _result({"x": 99.0})})
+        report = _diff(base, {"fig7": _result({"x": 99.0})})
         assert report.ok
 
     def test_zero_expected_uses_absolute_error(self):
         base = self._baselines(_result({"x": 0.0}, tolerances={"x": 0.5}))
-        assert golden.compare(base, {"fig7": _result({"x": 0.4})}).ok
-        assert not golden.compare(base, {"fig7": _result({"x": 0.6})}).ok
+        assert _diff(base, {"fig7": _result({"x": 0.4})}).ok
+        assert not _diff(base, {"fig7": _result({"x": 0.6})}).ok
 
     def test_missing_and_new_metrics_flagged(self):
         base = self._baselines(_result({"x": 1.0, "y": 2.0}))
-        report = golden.compare(base, {"fig7": _result({"x": 1.0, "z": 3.0})})
+        report = _diff(base, {"fig7": _result({"x": 1.0, "z": 3.0})})
         kinds = sorted(d.kind for d in report.drifts)
         assert kinds == ["missing-metric", "new-metric"]
 
     def test_shape_changes_flagged(self):
         base = self._baselines(_result({"x": 1.0}, rows=((1, 2), (3, 4))))
-        report = golden.compare(base, {"fig7": _result({"x": 1.0}, rows=((1, 2),))})
+        report = _diff(base, {"fig7": _result({"x": 1.0}, rows=((1, 2),))})
         assert [d.kind for d in report.drifts] == ["shape"]
 
     def test_missing_and_stale_baselines(self):
         base = self._baselines(_result({"x": 1.0}))
         other = _result({"x": 1.0}, experiment_id="fig8")
-        report = golden.compare(base, {"fig8": other})
+        report = _diff(base, {"fig8": other})
         kinds = sorted(d.kind for d in report.drifts)
         assert kinds == ["missing-baseline", "stale-baseline"]
-        lenient = golden.compare(base, {"fig8": other}, strict=False)
+        lenient = _diff(base, {"fig8": other}, strict=False)
         assert [d.kind for d in lenient.drifts] == ["missing-baseline"]
 
 
 class TestBaselineIO:
     def test_roundtrip(self, tmp_path):
-        doc = golden.build_baselines({"fig7": _result({"x": 1.0})})
+        doc = golden.build_baselines([_bundle(_result({"x": 1.0}))])
         path = tmp_path / "b.json"
         golden.write_baselines(path, doc)
         assert golden.load_baselines(path) == json.loads(json.dumps(doc))
@@ -129,7 +135,7 @@ class TestCheckedInBaselines:
 
     def test_full_suite_matches_checked_in_baselines(self, all_results):
         doc = golden.load_baselines(golden.DEFAULT_BASELINES_PATH)
-        report = golden.compare(doc, all_results)
+        report = _diff(doc, all_results)
         assert report.ok, "\n" + report.render()
         assert report.n_experiments == len(all_results)
         assert report.n_metrics > 100
@@ -137,7 +143,7 @@ class TestCheckedInBaselines:
     def test_injected_perturbation_is_caught(self, all_results):
         doc = golden.load_baselines(golden.DEFAULT_BASELINES_PATH)
         doc["experiments"]["fig7"]["headline"]["total_gain"] *= 1.02
-        report = golden.compare(doc, all_results)
+        report = _diff(doc, all_results)
         assert not report.ok
         assert any(
             d.experiment_id == "fig7" and d.metric == "total_gain"

@@ -2,12 +2,14 @@
 
 Covers the provenance-carrying bundle model end to end — stable bundle
 ids, the append-only store (runs, epochs, corruption tolerance), the
-claim-by-claim diff that now backs ``sustainable-ai verify``, and the
-``merge_failures`` edge cases routed through the ledger-diff path.
+claim-by-claim diff that backs ``sustainable-ai verify``, and the
+``fold_failures`` edge cases of runs with failed experiments.
 """
 
 import hashlib
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,6 @@ from repro.core.ledger import (
     Provenance,
     SubstrateRef,
     bundle_from_payload,
-    bundles_from_baselines,
     default_provenance,
     diff_bundles,
     fold_failures,
@@ -214,7 +215,7 @@ class TestDiffBundles:
 
 
 class TestFoldFailures:
-    """`golden.merge_failures` edge cases through the ledger-diff path."""
+    """`fold_failures` edge cases: failed runs folded into a diff."""
 
     def _failed_record(self, experiment_id, kind="crash", attempts=2):
         return RunRecord(
@@ -260,22 +261,11 @@ class TestFoldFailures:
         assert bundle.claims == ()
         assert bundle.error["kind"] == "crash"
 
-    def test_merge_failures_shim_routes_through_the_ledger(self):
-        # The legacy API and the ledger primitives must agree exactly.
-        base = {"fig-x": make_bundle()}
-        report = diff_bundles(base, {})
-        failed = [self._failed_record("fig-x")]
-        via_shim = golden.merge_failures(report, failed)
-        via_ledger = fold_failures(
-            report, [golden.bundle_from_record(r) for r in failed]
-        )
-        assert via_shim == via_ledger
-
 
 class TestGoldenImport:
     def test_baselines_import_pins_every_claim(self):
         doc = golden.load_baselines(golden.DEFAULT_BASELINES_PATH)
-        bundles = bundles_from_baselines(doc)
+        bundles = golden.bundles_from_baselines(doc)
         assert len(bundles) == 49
         assert sum(len(b.claims) for b in bundles.values()) == 164
         sample = bundles["fig7"]
@@ -285,7 +275,8 @@ class TestGoldenImport:
 
     def test_import_diffs_clean_against_itself(self):
         doc = golden.load_baselines(golden.DEFAULT_BASELINES_PATH)
-        report = diff_bundles(bundles_from_baselines(doc), bundles_from_baselines(doc))
+        bundles = golden.bundles_from_baselines(doc)
+        report = diff_bundles(bundles, golden.bundles_from_baselines(doc))
         assert report.ok
         assert report.n_metrics == 164
 
@@ -482,3 +473,27 @@ class TestLedgerDirResolution:
         assert ledger.resolve_ledger_dir(None) is None
         monkeypatch.delenv(ledger.LEDGER_DIR_ENV_VAR)
         assert ledger.resolve_ledger_dir(None) is None
+
+
+CLAIM_PATTERN = re.compile(r"\bClaim\(")
+
+
+def test_claims_are_built_only_in_the_ledger():
+    """One helper in repro/core/ledger.py constructs every ``Claim``.
+
+    A result, a service payload and a baselines entry all become claims
+    through :func:`repro.core.ledger.claims_from_headline`, so a unit or
+    default-tolerance rule cannot differ between the runner's bundles,
+    the service's and the golden epoch's.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    sites = [
+        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if CLAIM_PATTERN.search(line)
+    ]
+    assert len(sites) == 1 and sites[0].startswith("core/ledger.py:"), (
+        "Claim( constructed outside repro.core.ledger.claims_from_headline:\n"
+        + "\n".join(sites)
+    )

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.runner as runner_mod
+from repro.core import ledger
 from repro.errors import InjectedFault
 from repro.experiments import golden
 from repro.experiments.base import RunRecord
@@ -292,8 +293,11 @@ class TestVerifyWithFaults:
         finally:
             memo.set_substrate_corruptor(None)
         baselines = golden.load_baselines(golden.DEFAULT_BASELINES_PATH)
-        report = golden.compare(
-            baselines, {"ablation-sched": result}, strict=False
+        record = RunRecord("ablation-sched", "ok", 1, payload=result.to_payload())
+        report = golden.diff_run(
+            golden.bundles_from_baselines(baselines),
+            [golden.bundle_from_record(record)],
+            strict=False,
         )
         assert any(d.kind == "metric-drift" for d in report.drifts)
 
@@ -350,10 +354,10 @@ class TestRunRecord:
         assert "FAILED (crash after 2 attempt(s))" in text
 
     def test_merge_failures_replaces_stale_with_run_failure(self):
-        report = golden.VerifyReport(
+        report = ledger.VerifyReport(
             drifts=(
-                golden.Drift("fig7", "stale-baseline", detail="no matching result"),
-                golden.Drift("fig8", "metric-drift", "total_gain", 1.0, 2.0, 1.0, 1e-6),
+                ledger.Drift("fig7", "stale-baseline", detail="no matching result"),
+                ledger.Drift("fig8", "metric-drift", "total_gain", 1.0, 2.0, 1.0, 1e-6),
             ),
             n_experiments=1,
             n_metrics=5,
@@ -367,7 +371,7 @@ class TestRunRecord:
                 error_message="experiment exceeded the per-experiment --timeout",
             )
         ]
-        merged = golden.merge_failures(report, failed)
+        merged = ledger.fold_failures(report, [golden.bundle_from_record(r) for r in failed])
         kinds = {(d.experiment_id, d.kind) for d in merged.drifts}
         assert ("fig7", "run-failure") in kinds
         assert ("fig7", "stale-baseline") not in kinds

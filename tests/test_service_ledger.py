@@ -9,6 +9,8 @@ the golden baselines as epoch "0", and answers ``/ledger``,
 import pytest
 
 from repro.core.ledger import GOLDEN_EPOCH, Ledger
+from repro.core.series import CHECK_ENV_VAR
+from repro.experiments.runner import main
 
 from tests.serviceutil import running_service
 
@@ -157,3 +159,25 @@ class TestPersistentLedger:
         led = Ledger.open(ledger_dir)
         assert GOLDEN_EPOCH in led.epochs
         assert led.resolve("service")["fig7"].status == "ok"
+
+    def test_the_runner_and_the_service_record_one_bundle(self, tmp_path, monkeypatch):
+        # Both build a result's bundle with ledger.bundle_from_payload, so
+        # `ledger record` and `GET /experiments/{id}` agree on everything
+        # but who recorded it (and when).  Neither checks invariants here,
+        # whatever an earlier test left in the environment.
+        monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
+        argv = ["ledger", "record", "fig7", "--ledger-dir", str(tmp_path / "cli")]
+        assert main([*argv, "--recorded-at", "0", "--jobs", "1", "--quiet"]) == 0
+        with running_service(ledger_dir=str(tmp_path / "svc")) as (_handle, client):
+            assert client.get("/experiments/fig7").status == 200
+        _run, by_runner = Ledger.open(tmp_path / "cli").latest_bundle("fig7")
+        by_service = Ledger.open(tmp_path / "svc").resolve("service")["fig7"]
+        assert by_runner.claims == by_service.claims
+        assert by_runner.provenance.config == by_service.provenance.config
+        assert by_runner.payload == by_service.payload
+        bodies = [by_runner.to_payload(), by_service.to_payload()]
+        sources = [body["provenance"].pop("source") for body in bodies]
+        assert sources == ["runner", "service"]
+        for body in bodies:
+            del body["provenance"]["recorded_at"]
+        assert bodies[0] == bodies[1]

@@ -7,9 +7,12 @@ keys and counts the request by the same row.  So:
 * a path no row matches is a ``404``, and a method its row lacks is a
   ``405`` counted under the row's label: the labels ``/metrics`` counts
   stay bounded, whatever paths clients send;
+* bytes that do not parse as a request get the canonical ``400`` body,
+  counted under ``(malformed)``;
 * the router counts every request under the label the replica does;
 * the router answers an exception of its own with a ``500``, as the
-  service does;
+  service does, and a replica's timeout or refusal with one ``504`` or
+  ``502`` body whether it forwarded the request or polled a sweep;
 * docs/SERVICE.md lists the table's methods and paths.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import json
 import re
+import socket
 from collections import Counter
 from pathlib import Path
 
@@ -142,6 +146,83 @@ class TestRouterInternalErrors:
         assert _labels(router.counters) - before == Counter({"(internal-error)": 1})
         monkeypatch.undo()
         assert client.get("/footprint?busy_device_hours=3").status == 200
+
+
+def _send_raw(port: int, data: bytes) -> tuple[int, bytes]:
+    """Status and body of the reply to ``data``, read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+        conn.sendall(data)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+class TestMalformedRequests:
+    def test_a_malformed_request_is_a_counted_canonical_400(self, single, fabric):
+        service, client = single
+        router, _replicas, fabric_client = fabric
+        for counters, port in (
+            (service.counters, client.port),
+            (router.counters, fabric_client.port),
+        ):
+            before = counters.snapshot()
+            status, body = _send_raw(port, b"GET /healthz HTTP/1.1\r\nContent-Length: x\r\n\r\n")
+            assert status == 400
+            assert body == routes.error_body("bad-request", "non-integer Content-Length")
+            after = counters.snapshot()
+            assert after["total"] - before["total"] == 1
+            assert after["by_status"]["400"] - before["by_status"].get("400", 0) == 1
+            assert _labels(counters) - Counter(before["by_endpoint"]) == Counter(
+                {routes.MALFORMED: 1}
+            )
+
+
+class TestUpstreamFailures:
+    """A replica that fails an exchange gets one answer, forwarded or polled."""
+
+    PATHS = ("/footprint?busy_device_hours=10", "/sweep/abc")
+
+    def _replies(self, port: int) -> list:
+        config = RouterConfig(
+            port=0,
+            backends=(f"http://127.0.0.1:{port}",),
+            health_interval_s=3600.0,
+            proxy_timeout_s=0.3,
+        )
+        router = start_router(config)
+        client = ServiceClient(config.host, router.port)
+        try:
+            return [client.get(path) for path in self.PATHS]
+        finally:
+            client.close()
+            router.stop()
+
+    def test_a_replica_that_never_answers_is_one_504(self):
+        with socket.socket() as backend:
+            # Listening without accepting: connections complete, no reply comes.
+            backend.bind(("127.0.0.1", 0))
+            backend.listen(16)
+            forwarded, polled = self._replies(backend.getsockname()[1])
+        assert (forwarded.status, polled.status) == (504, 504)
+        assert forwarded.json() == {
+            "error": {
+                "kind": "upstream-timeout",
+                "message": "replica replica-0 exceeded the proxy timeout (0.3s)",
+            }
+        }
+        assert polled.body == forwarded.body
+
+    def test_a_refused_connection_is_one_502(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        forwarded, polled = self._replies(port)
+        assert (forwarded.status, polled.status) == (502, 502)
+        assert _kind(forwarded) == "bad-gateway"
+        assert forwarded.json()["error"]["message"].startswith("replica replica-0 did not answer: ")
+        assert polled.body == forwarded.body
 
 
 class TestDocs:
