@@ -51,7 +51,7 @@ def service():
 def test_service_load(service, record, clients):
     """Soak the default mix; zero 5xx allowed at every concurrency level."""
     report = run_load(
-        service.service.config.host,
+        service.server.config.host,
         service.port,
         clients=clients,
         duration_s=3.0,
@@ -84,7 +84,7 @@ def test_warm_cache_p50_at_least_5x_faster_than_cold(record):
     handle = start_service(ServiceConfig(port=0, workers=0, lru_size=512))
     try:
         conn = http.client.HTTPConnection(
-            handle.service.config.host, handle.port, timeout=300
+            handle.server.config.host, handle.port, timeout=300
         )
 
         def timed_get(path: str) -> float:
@@ -173,7 +173,7 @@ def churn_baseline(record):
     deck = build_churn_mix(0, CHURN_DISTINCT)
     handle = start_service(ServiceConfig(port=0, workers=0, lru_size=CHURN_LRU_SIZE))
     try:
-        report = _churn_soak(handle.service.config.host, handle.port, deck)
+        report = _churn_soak(handle.server.config.host, handle.port, deck)
     finally:
         handle.stop()
     cache = (report.server_metrics or {}).get("response_cache", {})

@@ -125,9 +125,7 @@ def bundles_from_baselines(doc: Mapping[str, object]) -> dict[str, Bundle]:
     }
 
 
-def pin_golden_epoch(
-    led: ledger.Ledger, path: Path = DEFAULT_BASELINES_PATH, *, replace: bool = False
-) -> bool:
+def pin_golden_epoch(led: ledger.Ledger, path: Path, *, replace: bool = False) -> bool:
     """Pin the baselines file at ``path`` as epoch ``"0"`` of ``led``.
 
     An epoch ``"0"`` already pinned stays unless ``replace`` is set.

@@ -69,6 +69,7 @@ from typing import Callable, Sequence
 
 from repro.core import diskcache, ledger, memo
 from repro.core.canonical import canonical_bytes, canonical_dumps
+from repro.core.series import CHECK_ENV_VAR
 from repro.experiments import golden, profiling
 from repro.experiments.base import ExperimentResult, RunRecord
 from repro.experiments.registry import experiment_ids, run_experiment
@@ -426,6 +427,15 @@ def _ledger_command(
         targets = _resolve_targets(args.experiment)
         if targets is None:
             return _unknown_experiment(args.experiment)
+        # A missing baselines file pins no epoch; a malformed one is a
+        # usage error before anything runs, as it is for verify.
+        baselines = golden.DEFAULT_BASELINES_PATH
+        pin = baselines.exists()
+        if pin:
+            try:
+                golden.load_baselines(baselines)
+            except golden.BaselineError as exc:
+                return _usage_error(str(exc.args[0] if exc.args else exc))
         echo = None if args.quiet else print
         records = _run_many(targets, jobs, echo=echo, retries=retries, timeout=timeout)
         failed = [r for r in records if not r.ok]
@@ -438,7 +448,7 @@ def _ledger_command(
         bundles = _bundles_from_records(
             records, invariant_status=invariant_status, recorded_at=recorded_at
         )
-        if golden.DEFAULT_BASELINES_PATH.exists() and golden.pin_golden_epoch(led):
+        if pin and golden.pin_golden_epoch(led, baselines):
             print(f"imported golden baselines as epoch {ledger.GOLDEN_EPOCH!r}")
         run_id = led.record_run(
             bundles,
@@ -688,6 +698,7 @@ def _sweep_command(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    checks = os.environ.get(CHECK_ENV_VAR)
     try:
         return _main(argv)
     except BrokenPipeError:
@@ -697,6 +708,13 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    finally:
+        # --check-invariants switches the checks on for its command only;
+        # a later command in this process runs as the environment says.
+        if checks is None:
+            os.environ.pop(CHECK_ENV_VAR, None)
+        else:
+            os.environ[CHECK_ENV_VAR] = checks
 
 
 def _main(argv: list[str] | None) -> int:
@@ -1085,8 +1103,6 @@ def _main(argv: list[str] | None) -> int:
     if getattr(args, "check_invariants", False):
         # Workers inherit the environment, so the runtime self-checks in
         # repro.core fire inside every experiment as well.
-        from repro.core.series import CHECK_ENV_VAR
-
         os.environ[CHECK_ENV_VAR] = "1"
 
     if args.command == "list":

@@ -18,24 +18,20 @@ Worker executions ship the substrate-cache counter increments they
 caused back to the parent (:func:`repro.service.queries.execute_query_task`),
 where they are merged into the run-wide view ``/metrics`` reports.
 
-On SIGTERM/SIGINT the service stops accepting, drains in-flight requests
-(bounded by ``drain_timeout_s``), optionally writes a final metrics JSON
-(``--metrics-json``), and exits 0.
+Its lifecycle (listen, drain on SIGTERM/SIGINT, ``--metrics-json``) is
+the :class:`repro.service.server.Server` it shares with the fabric router.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-import signal
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core import ledger, memo
-from repro.core.canonical import canonical_bytes, compact_dumps
+from repro.core.canonical import compact_dumps
 from repro.errors import (
     InjectedFault,
     InvariantViolation,
@@ -55,9 +51,17 @@ from repro.service.streams import (
 from repro.service.sweeps import DEFAULT_MAX_SWEEPS, SweepManager
 from repro.service.batching import QueryBatcher
 from repro.service.cache import ResponseCache
-from repro.service.http import HttpServer, ProtocolError, Request, Response
+from repro.service.http import ProtocolError, Request, Response
 from repro.service.pool import WorkerCrash, WorkerPool
-from repro.telemetry.counters import ServiceCounters
+from repro.service.server import (
+    Server,
+    ServerConfig,
+    ServerThread,
+    add_server_flags,
+    run_until_signalled,
+    server_fields,
+    start_thread,
+)
 
 #: Service defaults, shared by the CLI flags and :class:`ServiceConfig`.
 DEFAULT_PORT = 8151
@@ -65,21 +69,17 @@ DEFAULT_WORKERS = 2
 DEFAULT_MAX_QUEUE = 64
 DEFAULT_REQUEST_TIMEOUT_S = 30.0
 DEFAULT_LRU_SIZE = 256
-DEFAULT_DRAIN_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(ServerConfig):
     """All knobs of one service instance."""
 
-    host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     workers: int = DEFAULT_WORKERS
     max_queue: int = DEFAULT_MAX_QUEUE
     request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S
     lru_size: int = DEFAULT_LRU_SIZE
-    drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S
-    metrics_json: str | None = None
     max_sweeps: int = DEFAULT_MAX_SWEEPS
     #: Directory of the claim ledger; ``None`` keeps it in memory (the
     #: ledger then lives and dies with the service process).
@@ -93,6 +93,7 @@ class ServiceConfig:
     stream_max_wait_s: float = DEFAULT_STREAM_MAX_WAIT_S
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # Float checks are written so that NaN fails them too.
         if self.workers < 0:
             raise ServiceError(f"workers must be >= 0 (0 = inline), got {self.workers}")
@@ -104,8 +105,6 @@ class ServiceConfig:
             )
         if self.lru_size < 0:
             raise ServiceError(f"LRU size must be >= 0, got {self.lru_size}")
-        if not self.drain_timeout_s >= 0:
-            raise ServiceError(f"drain timeout must be >= 0, got {self.drain_timeout_s}")
         if self.max_sweeps < 1:
             raise ServiceError(f"max sweeps must be >= 1, got {self.max_sweeps}")
         if self.ledger_gc_interval_s is not None and not self.ledger_gc_interval_s > 0:
@@ -141,12 +140,14 @@ def _bad_request(exc: Exception) -> _Answer:
     return Response(400, error_body("bad-request", str(exc))), None
 
 
-class CarbonQueryService:
+class CarbonQueryService(Server):
     """One service instance; create, then :meth:`run` on an event loop."""
 
+    role = "service"
+    config: ServiceConfig
+
     def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        self.counters = ServiceCounters()
+        super().__init__(config)
         self.cache = ResponseCache(config.lru_size)
         self.batcher = QueryBatcher(self._execute)
         self.sweeps = SweepManager(self, config.max_sweeps)
@@ -163,20 +164,16 @@ class CarbonQueryService:
         self.ledger_gc_runs = 0
         # Epoch "0" is best-effort: without a baselines file (or with a
         # corrupt one) the service still serves queries.
-        if golden.DEFAULT_BASELINES_PATH.exists():
+        baselines = golden.DEFAULT_BASELINES_PATH
+        if baselines.exists():
             try:
-                golden.pin_golden_epoch(self.ledger)
+                golden.pin_golden_epoch(self.ledger, baselines)
             except Exception:
                 self.ledger_errors += 1
         self.worker_stats: dict[str, dict[str, int]] = {}
-        self.port: int | None = None
         self.pool = WorkerPool(config.workers) if config.workers else None
         self._inline_executor: ThreadPoolExecutor | None = None
         self._active = 0
-        self._draining = False
-        self._started_monotonic = time.monotonic()
-        self._stop_event: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         #: The handler of each row of :data:`repro.service.routes.ROUTES`.
         self._handlers = {
             "/healthz": self._healthz,
@@ -196,44 +193,26 @@ class CarbonQueryService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def run(self, on_ready=None) -> None:
-        """Serve until :meth:`request_shutdown`, then drain and clean up."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._started_monotonic = time.monotonic()
-        server = HttpServer(
-            self.handle,
-            self.config.host,
-            self.config.port,
-            malformed=routes.malformed(self.counters),
-        )
-        await server.start()
-        self.port = server.port
-        gc_task: asyncio.Task | None = None
-        if self.config.ledger_gc_interval_s is not None:
-            gc_task = asyncio.create_task(self._ledger_gc_loop())
-        if on_ready is not None:
-            on_ready(self)
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._draining = True
-            if gc_task is not None:
-                gc_task.cancel()
-            await server.drain_and_stop(self.config.drain_timeout_s)
-            await self.batcher.drain(self.config.drain_timeout_s)
-            for job in self.sweeps.jobs.values():
-                if job.task is not None and not job.task.done():
-                    job.task.cancel()
-            if self.pool is not None:
-                self.pool.close()
-            if self._inline_executor is not None:
-                self._inline_executor.shutdown(wait=False, cancel_futures=True)
-                self._inline_executor = None
-            if self.config.metrics_json:
-                Path(self.config.metrics_json).write_bytes(
-                    canonical_bytes(self.metrics_payload())
-                )
+    async def _start(self) -> list:
+        if self.config.ledger_gc_interval_s is None:
+            return []
+        return [self._ledger_gc_loop()]
+
+    async def _drain(self) -> None:
+        await self.batcher.drain(self.config.drain_timeout_s)
+        for job in self.sweeps.jobs.values():
+            if job.task is not None and not job.task.done():
+                job.task.cancel()
+
+    async def _close(self) -> None:
+        if self.pool is not None:
+            self.pool.close()
+        if self._inline_executor is not None:
+            self._inline_executor.shutdown(wait=False, cancel_futures=True)
+            self._inline_executor = None
+
+    def summary(self) -> str:
+        return f"(workers={self.config.workers}, max_queue={self.config.max_queue})"
 
     async def _ledger_gc_loop(self) -> None:
         """Periodic ``ledger gc`` compaction of the growing ``service`` run.
@@ -253,13 +232,6 @@ class CarbonQueryService:
                 raise
             except Exception:
                 self.ledger_errors += 1
-
-    def request_shutdown(self) -> None:
-        """Begin graceful shutdown; safe to call from any thread or a signal."""
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None:
-            return
-        loop.call_soon_threadsafe(event.set)
 
     # -- execution ---------------------------------------------------------
 
@@ -286,22 +258,10 @@ class CarbonQueryService:
         outcome = await self._run_task(query)
         memo.merge_stats(self.worker_stats, outcome["stats_delta"])
         payload = outcome["payload"]
-        from repro.core.series import runtime_checks_enabled
-
-        if runtime_checks_enabled():
-            from repro.testing.invariants import check_result
-
-            violations = check_result(queries.payload_to_result(payload))
-            if violations:
-                detail = "; ".join(
-                    f"{v.invariant}({v.metric or v.detail})" for v in violations
-                )
-                raise InvariantViolation(
-                    f"service response for {key!r} violates result invariants: {detail}"
-                )
+        checked = queries.self_check(payload, f"service response for {key!r}")
         body = queries.render_payload(payload)
         self.cache.put(key, body)
-        self._record_claims(query, outcome, checked=runtime_checks_enabled())
+        self._record_claims(query, outcome, checked=checked)
         return body
 
     def _record_claims(
@@ -331,8 +291,7 @@ class CarbonQueryService:
 
     # -- metrics -----------------------------------------------------------
 
-    def metrics_payload(self) -> dict[str, object]:
-        """The ``/metrics`` document (also the ``--metrics-json`` export)."""
+    async def metrics_document(self) -> dict[str, object]:
         from repro.experiments.registry import experiment_ids
 
         substrate = {name: dict(row) for name, row in sorted(self.worker_stats.items())}
@@ -364,17 +323,6 @@ class CarbonQueryService:
 
     # -- routing -----------------------------------------------------------
 
-    async def handle(self, request: Request) -> Response:
-        start = time.perf_counter()
-        try:
-            endpoint, response, cache_state = await self._route(request)
-        except Exception as exc:
-            endpoint, cache_state = routes.INTERNAL_ERROR, None
-            response = routes.internal_error(request, exc)
-        elapsed = time.perf_counter() - start
-        self.counters.record(endpoint, response.status, elapsed, cache_state)
-        return response
-
     async def _route(self, request: Request) -> tuple[str, Response, str | None]:
         found = routes.match(request)
         if not found.allowed:
@@ -389,7 +337,7 @@ class CarbonQueryService:
         return _document({"status": status, "experiments": len(experiment_ids())})
 
     async def _metrics(self, request: Request, found: routes.Match) -> _Answer:
-        return _document(self.metrics_payload())
+        return _document(await self.metrics_document())
 
     async def _experiments(self, request: Request, found: routes.Match) -> _Answer:
         from repro.experiments.registry import experiment_ids
@@ -602,78 +550,14 @@ class CarbonQueryService:
 # ---------------------------------------------------------------------------
 
 
-class ServiceHandle:
-    """A service running on a background thread (tests, benchmarks)."""
-
-    def __init__(self, service: CarbonQueryService, thread: threading.Thread) -> None:
-        self.service = service
-        self.thread = thread
-
-    @property
-    def port(self) -> int:
-        assert self.service.port is not None
-        return self.service.port
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.service.config.host}:{self.port}"
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self.service.request_shutdown()
-        self.thread.join(timeout)
-        if self.thread.is_alive():
-            raise ServiceError("service thread did not stop within the timeout")
-
-    def __enter__(self) -> "ServiceHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-def start_service(config: ServiceConfig, ready_timeout: float = 30.0) -> ServiceHandle:
+def start_service(config: ServiceConfig) -> ServerThread:
     """Start a service on a daemon thread and wait until it is listening."""
-    service = CarbonQueryService(config)
-    ready = threading.Event()
-    failure: list[BaseException] = []
-
-    def _run() -> None:
-        try:
-            asyncio.run(service.run(on_ready=lambda _svc: ready.set()))
-        except BaseException as exc:  # surface bind errors to the caller
-            failure.append(exc)
-            ready.set()
-
-    thread = threading.Thread(target=_run, name="carbon-query-service", daemon=True)
-    thread.start()
-    if not ready.wait(ready_timeout):
-        service.request_shutdown()
-        raise ServiceError("service did not start listening within the timeout")
-    if failure:
-        raise ServiceError(f"service failed to start: {failure[0]}") from failure[0]
-    return ServiceHandle(service, thread)
+    return start_thread(CarbonQueryService(config))
 
 
 def serve(config: ServiceConfig) -> int:
     """Blocking CLI body: run until SIGTERM/SIGINT, drain, exit 0."""
-
-    def _announce(service: CarbonQueryService) -> None:
-        print(
-            f"listening on http://{config.host}:{service.port} "
-            f"(workers={config.workers}, max_queue={config.max_queue})",
-            flush=True,
-        )
-
-    async def _main() -> None:
-        service = CarbonQueryService(config)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, service.request_shutdown)
-        await service.run(on_ready=_announce)
-        print("drained; bye", flush=True)
-
-    asyncio.run(_main())
-    return 0
+    return run_until_signalled(CarbonQueryService(config))
 
 
 # -- shared CLI flags --------------------------------------------------------
@@ -681,13 +565,7 @@ def serve(config: ServiceConfig) -> int:
 
 def add_serve_flags(parser) -> None:
     """Install the ``serve`` flags on an argparse (sub)parser."""
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_PORT,
-        help="TCP port; 0 picks an ephemeral port (default: %(default)s)",
-    )
+    add_server_flags(parser, DEFAULT_PORT)
     parser.add_argument(
         "--workers",
         type=int,
@@ -715,19 +593,6 @@ def add_serve_flags(parser) -> None:
         metavar="N",
         default=DEFAULT_LRU_SIZE,
         help="bounded response LRU fronting the disk cache (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=DEFAULT_DRAIN_TIMEOUT_S,
-        help="grace period for in-flight requests on shutdown (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--metrics-json",
-        metavar="PATH",
-        default=None,
-        help="write the final /metrics document to PATH on shutdown",
     )
     parser.add_argument(
         "--max-sweeps",
@@ -779,14 +644,11 @@ def add_serve_flags(parser) -> None:
 def config_from_args(args) -> ServiceConfig:
     """A :class:`ServiceConfig` from parsed ``add_serve_flags`` output."""
     return ServiceConfig(
-        host=args.host,
-        port=args.port,
+        **server_fields(args),
         workers=args.workers,
         max_queue=args.max_queue,
         request_timeout_s=None if args.request_timeout <= 0 else args.request_timeout,
         lru_size=args.lru_size,
-        drain_timeout_s=args.drain_timeout,
-        metrics_json=args.metrics_json,
         max_sweeps=args.max_sweeps,
         ledger_dir=args.ledger_dir,
         ledger_gc_interval_s=(

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from repro.core.canonical import canonical_bytes
+from repro.service.server import spawn
 from repro.telemetry.counters import LatencyReservoir
 
 #: The default traffic mix: fast experiments plus parameterized queries,
@@ -274,34 +275,7 @@ def run_load(
 
 def spawn_service(extra_args: list[str] | None = None) -> tuple[subprocess.Popen, int]:
     """Start ``python -m repro.service`` on an ephemeral port; (proc, port)."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--port", "0"] + (extra_args or []),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=dict(os.environ),
-    )
-    return proc, _await_banner(proc, "service")
-
-
-def _await_banner(proc: subprocess.Popen, what: str, max_lines: int = 20) -> int:
-    """Read stdout until the listen banner appears; return the bound port.
-
-    Warnings from the interpreter or libraries may precede the banner, so
-    non-banner lines are skipped (up to ``max_lines``, so a process that
-    never binds still fails fast).
-    """
-    assert proc.stdout is not None
-    seen: list[str] = []
-    for _ in range(max_lines):
-        line = proc.stdout.readline()
-        if not line:
-            break
-        if "listening on http://" in line:
-            return int(line.split("http://")[1].split()[0].rsplit(":", 1)[1])
-        seen.append(line)
-    proc.kill()
-    raise RuntimeError(f"{what} did not start: {''.join(seen)!r}")
+    return spawn("repro.service", ["--port", "0", *(extra_args or [])])
 
 
 def spawn_fabric(
@@ -312,25 +286,8 @@ def spawn_fabric(
     Replicas run with ``--workers 0`` (inline execution) so killing one
     mid-soak cannot orphan process-pool workers.
     """
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.router",
-            "--port",
-            "0",
-            "--replicas",
-            str(replicas),
-            "--workers",
-            "0",
-        ]
-        + (extra_args or []),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=dict(os.environ),
-    )
-    return proc, _await_banner(proc, "fabric")
+    args = ["--port", "0", "--replicas", str(replicas), "--workers", "0"]
+    return spawn("repro.service.router", [*args, *(extra_args or [])])
 
 
 def _chaos_kill_replica(host: str, port: int, timeout: float = 10.0) -> None:

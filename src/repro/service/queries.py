@@ -44,7 +44,7 @@ from repro.core.knobs import Knob, read_knobs
 from repro.core.scenario import Scenario, evaluate_work
 from repro.core.sweep import SweepSpec, run_sweep, spec_from_params, spec_to_params, sweep_chunk
 from repro.energy.devices import catalog, device
-from repro.errors import QueryError, UnitError
+from repro.errors import InvariantViolation, QueryError, UnitError
 from repro.workloads.genai import (
     LLMServingSpec,
     LLMTrainingSpec,
@@ -812,3 +812,23 @@ def payload_to_result(payload: Mapping[str, object]):
         title=f"carbon-query service response ({kind})",
         headline={k: float(v) for k, v in dict(payload.get("headline", {})).items()},
     )
+
+
+def self_check(payload: Mapping[str, object], subject: str) -> bool:
+    """Refuse a payload that violates a result invariant; whether it checked.
+
+    The check runs only while the runtime self-checks are on
+    (``SUSTAINABLE_AI_CHECK_INVARIANTS``).  A violation raises
+    :class:`InvariantViolation`, whose message starts with ``subject``.
+    """
+    from repro.core.series import runtime_checks_enabled
+
+    if not runtime_checks_enabled():
+        return False
+    from repro.testing.invariants import check_result
+
+    violations = check_result(payload_to_result(payload))
+    if violations:
+        detail = "; ".join(f"{v.invariant}({v.metric or v.detail})" for v in violations)
+        raise InvariantViolation(f"{subject} violates result invariants: {detail}")
+    return True

@@ -45,8 +45,9 @@ Fabric semantics on top of the single-node service contract:
   claim-ledger directory, so all replicas record into a single
   ``service`` run.
 
-On SIGTERM/SIGINT the router stops accepting, drains in-flight proxied
-requests, terminates managed replicas, and exits 0.
+Its lifecycle (listen, drain on SIGTERM/SIGINT, ``--metrics-json``) is
+the :class:`repro.service.server.Server` it shares with the service; its
+close terminates managed replicas.
 """
 
 from __future__ import annotations
@@ -58,29 +59,34 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
 from repro.core import ledger
-from repro.core.canonical import canonical_bytes
 from repro.errors import QueryError, ServiceError
 from repro.service import queries, routes
 from repro.service.hashring import DEFAULT_VNODES, HashRing
-from repro.service.http import HttpServer, ProtocolError, Request, Response
+from repro.service.http import ProtocolError, Request, Response
 from repro.service.routes import error_body
-from repro.telemetry.counters import ServiceCounters
+from repro.service.server import (
+    Server,
+    ServerConfig,
+    ServerThread,
+    add_server_flags,
+    run_until_signalled,
+    server_fields,
+    spawn,
+    start_thread,
+)
 
 __all__ = [
     "DEFAULT_ROUTER_PORT",
     "RouterConfig",
     "Replica",
     "CarbonQueryRouter",
-    "RouterHandle",
     "merge_replica_metrics",
     "start_router",
     "run_router",
@@ -95,7 +101,6 @@ DEFAULT_REPLICAS = 2
 DEFAULT_HEALTH_INTERVAL_S = 0.25
 DEFAULT_EJECT_AFTER = 2
 DEFAULT_PROXY_TIMEOUT_S = 120.0
-DEFAULT_DRAIN_TIMEOUT_S = 10.0
 
 #: Idle keep-alive connections kept per replica for proxying.
 MAX_POOLED_CONNECTIONS = 32
@@ -107,10 +112,9 @@ _UPSTREAM_ERRORS = (asyncio.TimeoutError, *_TRANSPORT_ERRORS)
 
 
 @dataclass(frozen=True)
-class RouterConfig:
+class RouterConfig(ServerConfig):
     """All knobs of one fabric router."""
 
-    host: str = "127.0.0.1"
     port: int = DEFAULT_ROUTER_PORT
     #: Managed mode: spawn this many ``python -m repro.service`` replicas.
     replicas: int = DEFAULT_REPLICAS
@@ -121,7 +125,6 @@ class RouterConfig:
     health_interval_s: float = DEFAULT_HEALTH_INTERVAL_S
     eject_after: int = DEFAULT_EJECT_AFTER
     proxy_timeout_s: float | None = DEFAULT_PROXY_TIMEOUT_S
-    drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S
     #: Restart managed replicas whose process died (chaos recovery).
     restart_replicas: bool = True
     #: Extra ``python -m repro.service`` argv for every managed replica
@@ -132,9 +135,9 @@ class RouterConfig:
     #: Shared claim-ledger directory; all replicas record into one
     #: ``service`` run and the router reports fleet-level ledger stats.
     ledger_dir: str | None = None
-    metrics_json: str | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # Float checks are written so that NaN fails them too.
         if not self.backends and self.replicas < 1:
             raise ServiceError(f"replicas must be >= 1, got {self.replicas}")
@@ -150,8 +153,6 @@ class RouterConfig:
             raise ServiceError(
                 f"proxy timeout must be positive or None, got {self.proxy_timeout_s}"
             )
-        if not self.drain_timeout_s >= 0:
-            raise ServiceError(f"drain timeout must be >= 0, got {self.drain_timeout_s}")
 
 
 @dataclass
@@ -330,12 +331,14 @@ def merge_replica_metrics(docs: Sequence[dict]) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-class CarbonQueryRouter:
+class CarbonQueryRouter(Server):
     """One fabric front door; create, then :meth:`run` on an event loop."""
 
+    role = "router"
+    config: RouterConfig
+
     def __init__(self, config: RouterConfig) -> None:
-        self.config = config
-        self.counters = ServiceCounters()
+        super().__init__(config)
         self.managed = not config.backends
         self.replicas: dict[str, Replica] = {}
         if self.managed:
@@ -355,14 +358,8 @@ class CarbonQueryRouter:
         self.failovers = 0
         self.retried_5xx = 0
         self.rejoins = 0
-        self.port: int | None = None
         self._pools: dict[str, deque] = {name: deque() for name in self.replicas}
         self._sweep_owners: dict[str, str] = {}
-        self._draining = False
-        self._started_monotonic = time.monotonic()
-        self._stop_event: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._health_task: asyncio.Task | None = None
         #: The rows the router answers itself (``GET`` only); it forwards
         #: every other request to the replica its ring key names.
         self._local = {
@@ -375,95 +372,46 @@ class CarbonQueryRouter:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def run(self, on_ready=None) -> None:
-        """Serve until :meth:`request_shutdown`, then drain and clean up."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._started_monotonic = time.monotonic()
+    async def _start(self) -> list:
         if self.managed:
-            try:
-                await asyncio.gather(
-                    *(self._start_replica(replica) for replica in self.replicas.values())
-                )
-            except BaseException:
-                self._stop_replicas()
-                raise
-        server = HttpServer(
-            self.handle,
-            self.config.host,
-            self.config.port,
-            malformed=routes.malformed(self.counters),
-        )
-        try:
-            await server.start()
-            self.port = server.port
-            self._health_task = self._loop.create_task(self._health_loop())
-            if on_ready is not None:
-                on_ready(self)
-            await self._stop_event.wait()
-        finally:
-            self._draining = True
-            if self._health_task is not None:
-                self._health_task.cancel()
-                await asyncio.gather(self._health_task, return_exceptions=True)
-            await server.drain_and_stop(self.config.drain_timeout_s)
-            if self.config.metrics_json:
-                # Captured before the replicas go away so the final
-                # document still carries the fleet rollup.
-                doc = await self._aggregate_metrics()
-                Path(self.config.metrics_json).write_bytes(canonical_bytes(doc))
-            for name in self.replicas:
-                self._discard_pool(name)
-            if self.managed:
-                await self._loop.run_in_executor(None, self._stop_replicas)
+            await asyncio.gather(
+                *(self._start_replica(replica) for replica in self.replicas.values())
+            )
+        return [self._health_loop()]
 
-    def request_shutdown(self) -> None:
-        """Begin graceful shutdown; safe to call from any thread or a signal."""
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None:
-            return
-        loop.call_soon_threadsafe(event.set)
+    async def _close(self) -> None:
+        for name in self.replicas:
+            self._discard_pool(name)
+        if self.managed:
+            assert self._loop is not None
+            await self._loop.run_in_executor(None, self._stop_replicas)
+
+    def summary(self) -> str:
+        backends = ", ".join(
+            f"{replica.name}={replica.host}:{replica.port}"
+            for replica in sorted(self.replicas.values(), key=lambda r: r.name)
+        )
+        return (
+            f"(replicas={len(self.replicas)}, vnodes={self.config.vnodes}) [{backends}]"
+        )
 
     # -- replica processes -------------------------------------------------
 
-    def _replica_argv(self) -> list[str]:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            "0",
-        ]
-        if self.config.ledger_dir:
-            argv += ["--ledger-dir", self.config.ledger_dir]
-        argv += list(self.config.replica_args)
-        return argv
-
     def _spawn_blocking(self) -> tuple[subprocess.Popen, int]:
-        """Start one replica subprocess and parse its listening banner."""
+        """Start one replica process; return it with its port."""
         env = dict(os.environ)
         if self.config.cache_dir:
             env["SUSTAINABLE_AI_CACHE_DIR"] = self.config.cache_dir
-        proc = subprocess.Popen(
-            self._replica_argv(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
-        assert proc.stdout is not None
-        banner = proc.stdout.readline()
-        if "listening on http://" not in banner:
-            proc.kill()
-            proc.wait()
-            raise ServiceError(f"replica did not start: {banner!r}")
-        port = int(banner.split("http://")[1].split()[0].rsplit(":", 1)[1])
-        return proc, port
+        args = ["--host", "127.0.0.1", "--port", "0"]
+        if self.config.ledger_dir:
+            args += ["--ledger-dir", self.config.ledger_dir]
+        return spawn("repro.service", [*args, *self.config.replica_args], env=env)
 
     async def _start_replica(self, replica: Replica) -> None:
+        """Spawn ``replica``'s process (again, after a death) and mark it healthy."""
         assert self._loop is not None
+        if replica.proc is not None and replica.proc.stdout is not None:
+            replica.proc.stdout.close()
         proc, port = await self._loop.run_in_executor(None, self._spawn_blocking)
         replica.proc = proc
         replica.host, replica.port = "127.0.0.1", port
@@ -539,19 +487,11 @@ class CarbonQueryRouter:
                 self._mark_unhealthy(replica)
 
     async def _restart_replica(self, replica: Replica) -> None:
-        assert self._loop is not None
         replica.restarting = True
         try:
-            old = replica.proc
-            if old is not None and old.stdout is not None:
-                old.stdout.close()
-            proc, port = await self._loop.run_in_executor(None, self._spawn_blocking)
-            replica.proc = proc
-            replica.host, replica.port = "127.0.0.1", port
+            await self._start_replica(replica)
             replica.restarts += 1
             self._discard_pool(replica.name)
-            replica.consecutive_failures = 0
-            replica.healthy = True
             self.rejoins += 1
         finally:
             replica.restarting = False
@@ -655,24 +595,15 @@ class CarbonQueryRouter:
                 pass
         return found.label, f"{request.method} {request.raw_target or request.path}"
 
-    async def handle(self, request: Request) -> Response:
-        start = time.perf_counter()
-        try:
-            endpoint, response = await self._route(request)
-        except Exception as exc:
-            endpoint, response = routes.INTERNAL_ERROR, routes.internal_error(request, exc)
-        self.counters.record(endpoint, response.status, time.perf_counter() - start)
-        return response
-
-    async def _route(self, request: Request) -> tuple[str, Response]:
+    async def _route(self, request: Request) -> tuple[str, Response, None]:
         endpoint, key = self.routing_key(request)
         local = self._local.get(endpoint) if request.method == "GET" else None
         if local is not None:
-            return endpoint, await local(request)
+            return endpoint, await local(request), None
         response, replica_name = await self._forward(key, request)
         if endpoint == "/sweep" and replica_name is not None and response.status in (200, 202):
             self._pin_sweep(response.body, replica_name)
-        return endpoint, response
+        return endpoint, response, None
 
     async def _healthz(self, request: Request) -> Response:
         healthy = sum(1 for r in self.replicas.values() if r.healthy)
@@ -689,7 +620,7 @@ class CarbonQueryRouter:
         )
 
     async def _metrics(self, request: Request) -> Response:
-        return Response(200, queries.render_payload(await self._aggregate_metrics()))
+        return Response(200, queries.render_payload(await self.metrics_document()))
 
     def _pin_sweep(self, body: bytes, replica_name: str) -> None:
         try:
@@ -845,7 +776,7 @@ class CarbonQueryRouter:
 
     # -- metrics -----------------------------------------------------------
 
-    async def _aggregate_metrics(self) -> dict[str, object]:
+    async def metrics_document(self) -> dict[str, object]:
         docs = []
         for replica in self.replicas.values():
             try:
@@ -900,94 +831,19 @@ class CarbonQueryRouter:
 # ---------------------------------------------------------------------------
 
 
-class RouterHandle:
-    """A router running on a background thread (tests, benchmarks)."""
-
-    def __init__(self, router: CarbonQueryRouter, thread: threading.Thread) -> None:
-        self.router = router
-        self.thread = thread
-
-    @property
-    def port(self) -> int:
-        assert self.router.port is not None
-        return self.router.port
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.router.config.host}:{self.port}"
-
-    def stop(self, timeout: float = 60.0) -> None:
-        self.router.request_shutdown()
-        self.thread.join(timeout)
-        if self.thread.is_alive():
-            raise ServiceError("router thread did not stop within the timeout")
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-def start_router(config: RouterConfig, ready_timeout: float = 60.0) -> RouterHandle:
+def start_router(config: RouterConfig) -> ServerThread:
     """Start a router on a daemon thread and wait until it is listening."""
-    router = CarbonQueryRouter(config)
-    ready = threading.Event()
-    failure: list[BaseException] = []
-
-    def _run() -> None:
-        try:
-            asyncio.run(router.run(on_ready=lambda _r: ready.set()))
-        except BaseException as exc:  # surface bind/spawn errors to the caller
-            failure.append(exc)
-            ready.set()
-
-    thread = threading.Thread(target=_run, name="carbon-query-router", daemon=True)
-    thread.start()
-    if not ready.wait(ready_timeout):
-        router.request_shutdown()
-        raise ServiceError("router did not start listening within the timeout")
-    if failure:
-        raise ServiceError(f"router failed to start: {failure[0]}") from failure[0]
-    return RouterHandle(router, thread)
+    return start_thread(CarbonQueryRouter(config))
 
 
 def run_router(config: RouterConfig) -> int:
     """Blocking CLI body: run until SIGTERM/SIGINT, drain, exit 0."""
-
-    def _announce(router: CarbonQueryRouter) -> None:
-        backends = ", ".join(
-            f"{replica.name}={replica.host}:{replica.port}"
-            for replica in sorted(router.replicas.values(), key=lambda r: r.name)
-        )
-        print(
-            f"listening on http://{config.host}:{router.port} "
-            f"(replicas={len(router.replicas)}, vnodes={config.vnodes}) "
-            f"[{backends}]",
-            flush=True,
-        )
-
-    async def _main() -> None:
-        router = CarbonQueryRouter(config)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, router.request_shutdown)
-        await router.run(on_ready=_announce)
-        print("drained; bye", flush=True)
-
-    asyncio.run(_main())
-    return 0
+    return run_until_signalled(CarbonQueryRouter(config))
 
 
 def add_fabric_flags(parser: argparse.ArgumentParser) -> None:
     """Install the ``fabric`` flags on an argparse (sub)parser."""
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_ROUTER_PORT,
-        help="router TCP port; 0 picks an ephemeral port (default: %(default)s)",
-    )
+    add_server_flags(parser, DEFAULT_ROUTER_PORT)
     parser.add_argument(
         "--replicas",
         type=int,
@@ -1030,13 +886,6 @@ def add_fabric_flags(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         default=DEFAULT_PROXY_TIMEOUT_S,
         help="per-upstream-exchange timeout -> 504 (default: %(default)s; <= 0 disables)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=DEFAULT_DRAIN_TIMEOUT_S,
-        help="grace period for in-flight requests on shutdown (default: %(default)s)",
     )
     parser.add_argument(
         "--no-restart",
@@ -1099,12 +948,6 @@ def add_fabric_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="stream feed release rate per replica (default: the service default)",
     )
-    parser.add_argument(
-        "--metrics-json",
-        metavar="PATH",
-        default=None,
-        help="write the final aggregated /metrics document to PATH on shutdown",
-    )
 
 
 def router_config_from_args(args) -> RouterConfig:
@@ -1122,20 +965,17 @@ def router_config_from_args(args) -> RouterConfig:
         replica_args += ["--stream-tick-hz", str(args.stream_tick_hz)]
     replica_args += list(args.replica_arg or [])
     return RouterConfig(
-        host=args.host,
-        port=args.port,
+        **server_fields(args),
         replicas=args.replicas,
         backends=tuple(args.backend or ()),
         vnodes=args.vnodes,
         health_interval_s=args.health_interval,
         eject_after=args.eject_after,
         proxy_timeout_s=None if args.proxy_timeout <= 0 else args.proxy_timeout,
-        drain_timeout_s=args.drain_timeout,
         restart_replicas=not args.no_restart,
         replica_args=tuple(replica_args),
         cache_dir=args.cache_dir,
         ledger_dir=args.ledger_dir,
-        metrics_json=args.metrics_json,
     )
 
 

@@ -32,7 +32,6 @@ from repro.carbon.stream import (
     stream_delta_payload,
 )
 from repro.core.incremental import IncrementalAccounting
-from repro.errors import InvariantViolation
 from repro.service import queries
 from repro.service.http import Response
 from repro.service.routes import error_body
@@ -189,19 +188,7 @@ class StreamManager:
         else:
             self.replays += 1
             payload = stream_delta_payload(job.spec, cursor, to_seq, ticks=job.ticks)
-        from repro.core.series import runtime_checks_enabled
-
-        if runtime_checks_enabled():
-            from repro.testing.invariants import check_result
-
-            violations = check_result(queries.payload_to_result(payload))
-            if violations:
-                detail = "; ".join(
-                    f"{v.invariant}({v.metric or v.detail})" for v in violations
-                )
-                raise InvariantViolation(
-                    f"stream delta for {key!r} violates result invariants: {detail}"
-                )
+        queries.self_check(payload, f"stream delta for {key!r}")
         job.deltas += 1
         self.deltas += 1
         self.ticks_delivered += to_seq - cursor

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core import memo
 from repro.core.canonical import compact_dumps
-from repro.errors import InjectedFault, InvariantViolation
+from repro.errors import InjectedFault
 from repro.service import queries
 from repro.service.pool import WorkerCrash
 
@@ -159,15 +159,11 @@ class SweepManager:
                 spec=spec, params=sample_points(spec), results=assemble_chunks(pieces)
             )
             payload = result.to_payload()
-            self._self_check(job, payload)
+            checked = queries.self_check(payload, f"sweep {job.sweep_id}")
             body = queries.render_payload(payload)
             self._service.cache.put(job.query.cache_key(), body)
-            from repro.core.series import runtime_checks_enabled
-
             self._service._record_claims(
-                job.query,
-                {"payload": payload, "substrates": substrates},
-                checked=runtime_checks_enabled(),
+                job.query, {"payload": payload, "substrates": substrates}, checked=checked
             )
             job.body = body
             job.status = "done"
@@ -198,22 +194,6 @@ class SweepManager:
             job.retries += 1
         assert last_error is not None
         raise last_error
-
-    def _self_check(self, job: SweepJob, payload: dict[str, object]) -> None:
-        from repro.core.series import runtime_checks_enabled
-
-        if not runtime_checks_enabled():
-            return
-        from repro.testing.invariants import check_result
-
-        violations = check_result(queries.payload_to_result(payload))
-        if violations:
-            detail = "; ".join(
-                f"{v.invariant}({v.metric or v.detail})" for v in violations
-            )
-            raise InvariantViolation(
-                f"sweep {job.sweep_id} violates result invariants: {detail}"
-            )
 
     # -- metrics -----------------------------------------------------------
 

@@ -39,7 +39,7 @@ def fabric():
             handle, _client = stack.enter_context(
                 running_service(workers=0, lru_size=256)
             )
-            backends.append(f"http://{handle.service.config.host}:{handle.port}")
+            backends.append(f"http://{handle.server.config.host}:{handle.port}")
         _single_handle, single_client = stack.enter_context(
             running_service(workers=0, lru_size=256)
         )
@@ -163,7 +163,7 @@ class TestSweepConformance:
         assert submitted.status in (200, 202)
         sweep_id = submitted.json()["sweep_id"]
         # Polls for a submitted sweep are pinned to the owning replica.
-        assert router_handle.router._sweep_owners.get(sweep_id)
+        assert router_handle.server._sweep_owners.get(sweep_id)
         final = _wait_sweep(fabric_client, sweep_id)
         assert final["status"] == "done"
         result = fabric_client.get(f"/sweep/{sweep_id}/result")

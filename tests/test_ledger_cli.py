@@ -14,6 +14,7 @@ import repro.experiments.runner as runner_mod
 from repro.core import ledger
 from repro.core.canonical import canonical_bytes
 from repro.core.ledger import GOLDEN_EPOCH, Ledger
+from repro.experiments import golden
 from repro.experiments.registry import run_experiment
 from repro.experiments.runner import main
 from repro.testing import faults
@@ -72,6 +73,21 @@ class TestRecord:
         assert bundle.status == "failed"
         assert bundle.error["kind"] == "exception"
         assert led.resolve("r1")["fig8"].status == "ok"
+
+    def test_a_malformed_baselines_file_is_refused_before_anything_runs(
+        self, ledger_dir, tmp_path, capsys, small_registry, monkeypatch
+    ):
+        baselines = tmp_path / "baselines.json"
+        baselines.write_text("{not json")
+        monkeypatch.setattr(golden, "DEFAULT_BASELINES_PATH", baselines)
+
+        def run_many(*args, **kwargs):
+            raise AssertionError("experiments ran before the baselines were read")
+
+        monkeypatch.setattr(runner_mod, "_run_many", run_many)
+        assert record(ledger_dir) == 2
+        assert f"baselines file {baselines} is not valid JSON" in capsys.readouterr().err
+        assert not ledger_dir.exists()
 
     def test_missing_ledger_dir_is_a_usage_error(self, capsys, small_registry):
         assert main(["ledger", "show"]) == 2

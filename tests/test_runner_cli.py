@@ -1,10 +1,12 @@
 """CLI runner tests: run/report/verify commands, exit codes, parallelism."""
 
 import json
+import os
 
 import pytest
 
 import repro.experiments.runner as runner_mod
+from repro.core.series import CHECK_ENV_VAR
 from repro.experiments import golden
 from repro.experiments.runner import main
 
@@ -58,6 +60,24 @@ class TestCLI:
 
     def test_argparse_usage_error_returns_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("before", [None, "0"])
+    def test_check_invariants_lasts_for_its_command_only(self, before, monkeypatch, capsys):
+        if before is None:
+            monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(CHECK_ENV_VAR, before)
+        during = []
+        run_many = runner_mod._run_many
+
+        def spy(*args, **kwargs):
+            during.append(os.environ.get(CHECK_ENV_VAR))
+            return run_many(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_run_many", spy)
+        assert main(["run", "fig7", "--jobs", "1", "--check-invariants"]) == 0
+        assert during == ["1"]
+        assert os.environ.get(CHECK_ENV_VAR) == before
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -9,7 +9,6 @@ the golden baselines as epoch "0", and answers ``/ledger``,
 import pytest
 
 from repro.core.ledger import GOLDEN_EPOCH, Ledger
-from repro.core.series import CHECK_ENV_VAR
 from repro.experiments.runner import main
 
 from tests.serviceutil import running_service
@@ -55,7 +54,7 @@ class TestRecordOnExecute:
     def test_experiment_queries_land_in_the_service_run(self, service):
         handle, client = service
         assert client.get("/experiments/fig7").status == 200
-        led = handle.service.ledger
+        led = handle.server.ledger
         assert "service" in led.runs
         bundle = led.resolve("service")["fig7"]
         assert bundle.status == "ok"
@@ -65,14 +64,14 @@ class TestRecordOnExecute:
     def test_cache_hits_do_not_rerecord(self, service):
         handle, client = service
         assert client.get("/experiments/fig8").status == 200
-        before = len(handle.service.ledger.bundles)
+        before = len(handle.server.ledger.bundles)
         assert client.get("/experiments/fig8").status == 200  # LRU hit
-        assert len(handle.service.ledger.bundles) == before
+        assert len(handle.server.ledger.bundles) == before
 
     def test_parameterized_queries_record_their_config(self, service):
         handle, client = service
         assert client.get("/footprint?busy_device_hours=123.5").status == 200
-        led = handle.service.ledger
+        led = handle.server.ledger
         eids = [e for e in led.resolve("service") if e.startswith("footprint:")]
         assert eids
         bundle = led.resolve("service")[eids[0]]
@@ -82,7 +81,7 @@ class TestRecordOnExecute:
     def test_recorded_payload_reconstructs_the_response_bytes(self, service):
         handle, client = service
         reply = client.get("/experiments/fig7")
-        bundle = handle.service.ledger.resolve("service")["fig7"]
+        bundle = handle.server.ledger.resolve("service")["fig7"]
         assert bundle.reconstruct() == reply.body
 
 
@@ -122,7 +121,7 @@ class TestTraceEndpoint:
     def test_traces_a_recorded_claim(self, service):
         handle, client = service
         client.get("/experiments/fig7")
-        bundle = handle.service.ledger.resolve("service")["fig7"]
+        bundle = handle.server.ledger.resolve("service")["fig7"]
         metric = bundle.claims[0].metric
         reply = client.get(f"/ledger/trace?experiment_id=fig7&metric={metric}")
         assert reply.status == 200
@@ -160,12 +159,10 @@ class TestPersistentLedger:
         assert GOLDEN_EPOCH in led.epochs
         assert led.resolve("service")["fig7"].status == "ok"
 
-    def test_the_runner_and_the_service_record_one_bundle(self, tmp_path, monkeypatch):
+    def test_the_runner_and_the_service_record_one_bundle(self, tmp_path):
         # Both build a result's bundle with ledger.bundle_from_payload, so
         # `ledger record` and `GET /experiments/{id}` agree on everything
-        # but who recorded it (and when).  Neither checks invariants here,
-        # whatever an earlier test left in the environment.
-        monkeypatch.delenv(CHECK_ENV_VAR, raising=False)
+        # but who recorded it (and when).
         argv = ["ledger", "record", "fig7", "--ledger-dir", str(tmp_path / "cli")]
         assert main([*argv, "--recorded-at", "0", "--jobs", "1", "--quiet"]) == 0
         with running_service(ledger_dir=str(tmp_path / "svc")) as (_handle, client):

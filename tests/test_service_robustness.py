@@ -6,8 +6,10 @@ load with structured 429s, per-request timeouts yield structured 504s,
 injected worker crashes (via :mod:`repro.testing.faults`, the same env
 grammar the experiment runner hardens against) surface as structured
 500s for the crashed worker's own request only, SIGTERM drains in-flight
-requests before the process exits, and a SIGKILLed server leaves no
-worker, port or connection behind.
+requests before the process exits, a SIGKILLed server leaves no
+worker, port or connection behind, a payload breaking a result invariant
+is refused while the runtime self-checks are on, and a fabric starts even
+when its replicas write to stderr before their banner.
 """
 
 from __future__ import annotations
@@ -22,21 +24,21 @@ import math
 import os
 import signal
 import socket
-import subprocess
-import sys
 import time
 from pathlib import Path
 from urllib.parse import parse_qsl
 
 import pytest
 
+from repro.core.series import CHECK_ENV_VAR
 from repro.errors import ServiceError
 from repro.service import queries
 from repro.service.app import ServiceConfig, add_serve_flags, config_from_args
 from repro.service.queries import parse_query, render_payload
 from repro.service.loadgen import build_mix
 from repro.service.router import RouterConfig, start_router
-from repro.testing import faults
+from repro.service.server import spawn
+from repro.testing import faults, invariants
 from tests.serviceutil import ServiceClient, group_members, running_service
 
 
@@ -164,7 +166,7 @@ class TestBatching:
         query = parse_query("footprint", {"busy_device_hours": 11})
         key = query.cache_key()
         with running_service(workers=0, lru_size=4) as (handle, _client):
-            service = handle.service
+            service = handle.server
             seen = []
 
             async def submit_and_wait() -> bytes:
@@ -370,7 +372,7 @@ def _two_replica_fabric():
         backends = []
         for _ in range(2):
             handle, _client = stack.enter_context(running_service(workers=0, lru_size=16))
-            backends.append(f"http://{handle.service.config.host}:{handle.port}")
+            backends.append(f"http://{handle.server.config.host}:{handle.port}")
         config = RouterConfig(port=0, replicas=0, backends=tuple(backends))
         router = start_router(config)
         stack.callback(router.stop)
@@ -380,7 +382,7 @@ def _two_replica_fabric():
 
 
 def _ejections(router) -> list[int]:
-    return [r.ejections for r in router.router.replicas.values()]
+    return [r.ejections for r in router.server.replicas.values()]
 
 
 class TestInternalErrors:
@@ -425,30 +427,13 @@ class TestGracefulDrain:
         env[faults.FAULTS_ENV_VAR] = "timeout:footprint:1.0"
         env["SUSTAINABLE_AI_CACHE_DIR"] = "off"
         metrics_path = tmp_path / "final_metrics.json"
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.service",
-                "--port",
-                "0",
-                "--workers",
-                "0",
-                "--drain-timeout",
-                "10",
-                "--metrics-json",
-                str(metrics_path),
-            ],
+        proc, port = spawn(
+            "repro.service",
+            ["--port", "0", "--workers", "0", "--drain-timeout", "10",
+             "--metrics-json", str(metrics_path)],
             env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
         )
         try:
-            banner = proc.stdout.readline()
-            assert "listening on http://" in banner, banner
-            port = int(banner.split("http://")[1].split()[0].rsplit(":", 1)[1])
-
             with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
                 in_flight = pool.submit(
                     lambda: ServiceClient("127.0.0.1", port).get(
@@ -491,19 +476,11 @@ class TestKilledServer:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         env["SUSTAINABLE_AI_CACHE_DIR"] = "off"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service", "--port", "0", "--workers", "2"],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            start_new_session=True,
+        proc, port = spawn(
+            "repro.service", ["--port", "0", "--workers", "2"], env=env, start_new_session=True
         )
         client = None
         try:
-            banner = proc.stdout.readline()
-            assert "listening on http://" in banner, banner
-            port = int(banner.split("http://")[1].split()[0].rsplit(":", 1)[1])
             client = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
             client.request("GET", "/footprint?busy_device_hours=5")
             reply = client.getresponse()
@@ -663,3 +640,43 @@ class TestSweepRobustness:
     def test_method_not_allowed_on_sweep_routes(self):
         with running_service(workers=0, lru_size=4) as (_handle, client):
             assert client.post("/sweep/abc", {}).status == 405
+
+
+def _violates(result):
+    return [invariants.Violation(result.experiment_id, "nonnegative-carbon", "total_kg")]
+
+
+class TestInvariantRefusals:
+    """With the runtime self-checks on, a payload breaking an invariant is refused."""
+
+    def test_footprint_stream_and_sweep_refuse_a_violating_payload(self, monkeypatch):
+        monkeypatch.setenv(CHECK_ENV_VAR, "1")
+        monkeypatch.setattr(invariants, "check_result", _violates)
+        detail = "violates result invariants: nonnegative-carbon(total_kg)"
+        with running_service(workers=0, lru_size=4) as (_handle, client):
+            for path, subject in (
+                ("/footprint?busy_device_hours=7", "service response for '"),
+                ("/stream?hours=48&cursor=0&wait_s=0", "stream delta for '"),
+            ):
+                reply = client.get(path)
+                assert reply.status == 500
+                error = reply.json()["error"]
+                assert error["kind"] == "invariant-violation"
+                assert error["message"].startswith(subject) and error["message"].endswith(detail)
+            sweep_id = client.post("/sweep", dict(SOBOL_SWEEP)).json()["sweep_id"]
+            final = _wait_sweep(client, sweep_id)[-1]
+        assert final["status"] == "failed"
+        assert final["error"] == f"InvariantViolation: sweep {sweep_id} {detail}"
+
+
+class TestLaunch:
+    def test_a_replica_writing_to_stderr_before_its_banner_starts(self, monkeypatch):
+        """Import-time reports on a replica's stderr are not read as its banner."""
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+        config = RouterConfig(port=0, replicas=1, replica_args=("--workers", "0"))
+        with start_router(config) as router:
+            client = ServiceClient(config.host, router.port)
+            reply = client.get("/healthz")
+            client.close()
+        assert reply.status == 200
+        assert reply.json()["replicas"] == {"healthy": 1, "total": 1}

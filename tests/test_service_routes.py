@@ -76,7 +76,7 @@ def _kind(reply) -> str | None:
 @pytest.fixture(scope="module")
 def single():
     with running_service(workers=0, lru_size=16) as (handle, client):
-        yield handle.service, client
+        yield handle.server, client
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def fabric():
         stack.callback(router.stop)
         client = ServiceClient(config.host, router.port)
         stack.callback(client.close)
-        yield router.router, [handle.service for handle in replicas], client
+        yield router.server, [handle.server for handle in replicas], client
 
 
 class TestEdgePaths:
@@ -124,7 +124,7 @@ class TestEdgePaths:
         with running_service(workers=0) as (handle, client):
             for i in range(1000):
                 assert client.request("DELETE", f"/experiments/x{i}").status == 405
-            counted = handle.service.counters.snapshot()
+            counted = handle.server.counters.snapshot()
         assert counted["by_endpoint"] == {"/experiments/{id}": 1000}
         assert list(counted["latency_s"]) == ["/experiments/{id}"]
 

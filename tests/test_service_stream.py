@@ -125,7 +125,7 @@ class TestCursorSemantics:
             assert reply.status == 200
             assert reply.json()["to_seq"] > 4
             assert elapsed < 10.0
-            assert handle.service.streams.long_poll_waits >= 1
+            assert handle.server.streams.long_poll_waits >= 1
 
 
 class TestAdmission:
@@ -171,16 +171,16 @@ class TestLedgerGcLoop:
             before = canonical_bytes(
                 {
                     claim: bundle.to_payload()
-                    for claim, bundle in handle.service.ledger.resolve(
+                    for claim, bundle in handle.server.ledger.resolve(
                         "service"
                     ).items()
                 }
             )
             deadline = time.monotonic() + 10.0
-            while handle.service.ledger_gc_runs < 1:
+            while handle.server.ledger_gc_runs < 1:
                 assert time.monotonic() < deadline, "gc loop never ran"
                 time.sleep(0.02)
-            assert handle.service.ledger_errors == 0
+            assert handle.server.ledger_errors == 0
             doc = client.get("/metrics").json()
             assert doc["ledger"]["gc_runs"] >= 1
             assert doc["ledger"]["gc_interval_s"] == 0.05
@@ -199,5 +199,5 @@ class TestLedgerGcLoop:
     def test_gc_disabled_by_default(self):
         with running_service() as (handle, client):
             assert client.get("/experiments/fig7").status == 200
-            assert handle.service.ledger_gc_runs == 0
+            assert handle.server.ledger_gc_runs == 0
             assert client.get("/metrics").json()["ledger"]["gc_interval_s"] is None

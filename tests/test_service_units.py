@@ -199,7 +199,7 @@ class TestLoadgen:
 
         with running_service(workers=0, lru_size=128) as (handle, _client):
             report = run_load(
-                handle.service.config.host,
+                handle.server.config.host,
                 handle.port,
                 clients=2,
                 duration_s=30.0,
@@ -221,7 +221,7 @@ class TestLoadgen:
         from repro.service.loadgen import main
 
         with running_service(workers=0, lru_size=128) as (handle, _client):
-            url = f"http://{handle.service.config.host}:{handle.port}"
+            url = f"http://{handle.server.config.host}:{handle.port}"
             report_path = tmp_path / "load.json"
             status = main(
                 [
