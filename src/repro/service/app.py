@@ -5,14 +5,15 @@ accounting engine over JSON endpoints: the rows of
 :data:`repro.service.routes.ROUTES`, which docs/SERVICE.md lists with
 what each one answers.
 
-Request path: admission control (bounded in-flight count, excess gets a
-structured ``429``) → response LRU (hit serves the exact bytes of the
-original execution) → single-flight (identical in-flight queries share
-one execution) → worker pool (:mod:`repro.service.pool`, ``--workers``
-persistent processes; ``0`` = inline) with a per-request timeout
-(``504``) — all over the same ``AccountingContext``/``HourlySeries``
-engine the CLI runner uses, so a service answer is byte-identical to the
-direct library call it fronts.
+Request path: query memo (:class:`repro.service.routes.QueryMemo`; a
+request already parsed skips parsing and keying) → admission control
+(bounded in-flight count, excess gets a structured ``429``) → response
+LRU (hit serves the exact bytes of the original execution) →
+single-flight (identical in-flight queries share one execution) → worker
+pool (:mod:`repro.service.pool`, ``--workers`` persistent processes;
+``0`` = inline) with a per-request timeout (``504``) — all over the same
+``AccountingContext``/``HourlySeries`` engine the CLI runner uses, so a
+service answer is byte-identical to the direct library call it fronts.
 
 Worker executions ship the substrate-cache counter increments they
 caused back to the parent (:func:`repro.service.queries.execute_query_task`),
@@ -50,7 +51,7 @@ from repro.service.streams import (
 )
 from repro.service.sweeps import DEFAULT_MAX_SWEEPS, SweepManager
 from repro.service.batching import QueryBatcher
-from repro.service.cache import ResponseCache
+from repro.service.cache import DEFAULT_LRU_SIZE, ResponseCache
 from repro.service.http import ProtocolError, Request, Response
 from repro.service.pool import WorkerCrash, WorkerPool
 from repro.service.server import (
@@ -68,7 +69,6 @@ DEFAULT_PORT = 8151
 DEFAULT_WORKERS = 2
 DEFAULT_MAX_QUEUE = 64
 DEFAULT_REQUEST_TIMEOUT_S = 30.0
-DEFAULT_LRU_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,8 @@ class CarbonQueryService(Server):
     def __init__(self, config: ServiceConfig) -> None:
         super().__init__(config)
         self.cache = ResponseCache(config.lru_size)
+        #: Fronts the LRU: as many parsed requests as it holds responses.
+        self.query_memo = routes.QueryMemo(config.lru_size)
         self.batcher = QueryBatcher(self._execute)
         self.sweeps = SweepManager(self, config.max_sweeps)
         self.streams = StreamManager(
@@ -304,6 +306,7 @@ class CarbonQueryService(Server):
                 "experiments": len(experiment_ids()),
             },
             "requests": self.counters.snapshot(),
+            "query_memo": self.query_memo.stats(),
             "response_cache": self.cache.stats(),
             "batching": self.batcher.stats(),
             "substrate_cache": {
@@ -345,13 +348,13 @@ class CarbonQueryService(Server):
         return _document({"experiments": list(experiment_ids())})
 
     async def _query(self, request: Request, found: routes.Match) -> _Answer:
-        """Parse -> admission -> LRU -> batcher -> worker, with structured errors.
+        """Memo or parse -> admission -> LRU -> batcher -> worker, with structured errors.
 
         Answers ``/experiments/{id}``, ``/footprint`` and
         ``/schedule/carbon-aware``.
         """
         try:
-            query, _transport = routes.parse(found, request)
+            query, key = self.query_memo.parse(found, request)
         except (ProtocolError, QueryError) as exc:
             if found.kind == "experiment":
                 return Response(404, error_body("unknown-experiment", str(exc))), None
@@ -369,7 +372,6 @@ class CarbonQueryService(Server):
             ), None
         self._active += 1
         try:
-            key = query.cache_key()
             cached = self.cache.get(key)
             if cached is not None:
                 return Response(200, cached), "hit"

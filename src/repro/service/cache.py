@@ -19,6 +19,9 @@ from collections import OrderedDict
 
 from repro.errors import ServiceError
 
+#: Entries of a service's response LRU unless ``--lru-size`` says otherwise.
+DEFAULT_LRU_SIZE = 256
+
 
 class ResponseCache:
     """A bounded LRU mapping canonical query keys to response bytes."""

@@ -5,7 +5,12 @@ deliberately narrow slice of HTTP/1.1 over ``asyncio.start_server``:
 request-line + headers + optional ``Content-Length`` body in, status
 line + ``Content-Length`` JSON body out, with keep-alive.  Chunked
 transfer encoding, trailers, upgrades, and pipelining are out of scope —
-a request with a body must declare its length.
+a request with a body must declare its length, in ASCII digits, once.
+Any ``Transfer-Encoding`` is refused, with or without a length (RFC 9112
+§6.1), and an HTTP/1.0 request that does not ask for ``keep-alive`` is
+answered with ``Connection: close`` (§9.3).  The fabric router reads a
+replica's response head with the same field reader and limits
+(:func:`read_response`).
 
 The server tracks every connection and whether it is mid-request, which
 is what makes graceful drain possible: on shutdown it stops accepting,
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -59,6 +65,19 @@ class Request:
     #: percent-encoding intact) — what a proxy must forward verbatim so
     #: the upstream parses the same request the client wrote.
     raw_target: str = ""
+    version: str = "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the connection stays open after the response.
+
+        HTTP/1.1 persists unless the client sends ``Connection: close``;
+        HTTP/1.0 closes unless it sends ``Connection: keep-alive``.
+        """
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
     def json_body(self) -> dict[str, object]:
         """The body decoded as a JSON object (empty body -> empty dict)."""
@@ -98,6 +117,53 @@ class Response:
 Handler = Callable[[Request], Awaitable[Response]]
 
 
+async def _read_message(
+    reader: asyncio.StreamReader, max_body: float
+) -> tuple[dict[str, str], bytes]:
+    """The header fields after a start line, and the body they frame.
+
+    Requests and responses alike: at most :data:`MAX_HEADER_COUNT` lines,
+    each ``name: value``; no ``Transfer-Encoding``; and at most one
+    ``Content-Length`` value (RFC 9112 §6.3), in ASCII digits, up to
+    ``max_body``.
+    """
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADER_COUNT + 1):
+        try:
+            raw = await reader.readuntil(b"\r\n")
+        except asyncio.IncompleteReadError:
+            raise ProtocolError("connection closed mid-headers") from None
+        except asyncio.LimitOverrunError:
+            raise ProtocolError("header line too long") from None
+        if raw == b"\r\n":
+            break
+        name, sep, value = raw.decode("latin-1").partition(":")
+        if not sep:
+            raise ProtocolError(f"malformed header line: {raw!r}")
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ProtocolError("conflicting Content-Length headers")
+        headers[name] = value
+    else:
+        raise ProtocolError("too many headers")
+
+    if "transfer-encoding" in headers:
+        raise ProtocolError("chunked transfer encoding is not supported")
+    text = headers.get("content-length")
+    if text is None:
+        return headers, b""
+    # A leading "-" still parses, so a negative length names its range.
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ProtocolError("non-integer Content-Length")
+    length = int(text)
+    if text.startswith("-") or length > max_body:
+        raise ProtocolError(f"Content-Length {text} outside [0, {max_body}]")
+    try:
+        return headers, await reader.readexactly(length)
+    except asyncio.IncompleteReadError:
+        raise ProtocolError("connection closed mid-body") from None
+
+
 async def _read_request(reader: asyncio.StreamReader) -> Request | None:
     """Parse one request; ``None`` on clean EOF before any bytes."""
     try:
@@ -116,36 +182,7 @@ async def _read_request(reader: asyncio.StreamReader) -> Request | None:
     method, target, version = parts
     if not version.startswith("HTTP/1."):
         raise ProtocolError(f"unsupported protocol version {version!r}")
-
-    headers: dict[str, str] = {}
-    for _ in range(MAX_HEADER_COUNT + 1):
-        try:
-            raw = await reader.readuntil(b"\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            raise ProtocolError("connection closed mid-headers") from None
-        if raw == b"\r\n":
-            break
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise ProtocolError(f"malformed header line: {raw!r}")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise ProtocolError("too many headers")
-
-    body = b""
-    if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise ProtocolError("non-integer Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError(f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("connection closed mid-body") from None
-    elif headers.get("transfer-encoding"):
-        raise ProtocolError("chunked transfer encoding is not supported")
+    headers, body = await _read_message(reader, MAX_BODY_BYTES)
 
     split = urlsplit(target)
     params = {key: value for key, value in parse_qsl(split.query, keep_blank_values=True)}
@@ -156,7 +193,30 @@ async def _read_request(reader: asyncio.StreamReader) -> Request | None:
         headers=headers,
         body=body,
         raw_target=target,
+        version=version,
     )
+
+
+async def read_response(reader: asyncio.StreamReader) -> tuple[int, dict[str, str], bytes]:
+    """``(status, headers, body)`` of one response, read as a request's head is.
+
+    The fabric router's half of an upstream exchange.  A response that
+    breaks the framing rules raises :class:`ProtocolError`; its body has no
+    size bound, because the replica that sends it is the router's own.
+    """
+    try:
+        line = await reader.readuntil(b"\r\n")
+    except asyncio.LimitOverrunError:
+        raise ProtocolError("status line too long") from None
+    parts = line.decode("latin-1").split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise ProtocolError(f"malformed status line from replica: {line!r}")
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise ProtocolError(f"non-integer status from replica: {line!r}") from None
+    headers, body = await _read_message(reader, math.inf)
+    return status, headers, body
 
 
 @dataclass
@@ -219,11 +279,7 @@ class HttpServer:
                     response = await self.handler(request)
                 finally:
                     conn.busy = False
-                close = (
-                    response.close
-                    or self._draining
-                    or request.headers.get("connection", "").lower() == "close"
-                )
+                close = response.close or self._draining or not request.keep_alive
                 if close:
                     response = Response(
                         response.status, response.body, response.content_type, close=True

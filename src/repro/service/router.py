@@ -68,8 +68,9 @@ from urllib.parse import urlsplit
 from repro.core import ledger
 from repro.errors import QueryError, ServiceError
 from repro.service import queries, routes
+from repro.service.cache import DEFAULT_LRU_SIZE
 from repro.service.hashring import DEFAULT_VNODES, HashRing
-from repro.service.http import ProtocolError, Request, Response
+from repro.service.http import ProtocolError, Request, Response, read_response
 from repro.service.routes import error_body
 from repro.service.server import (
     Server,
@@ -303,6 +304,7 @@ def merge_replica_metrics(docs: Sequence[dict]) -> dict[str, object]:
             "draining": any(bool(doc.get("draining", False)) for doc in services),
         },
         "requests": _merge_requests([doc.get("requests", {}) for doc in docs]),
+        "query_memo": _sum_counter_maps([doc.get("query_memo", {}) for doc in docs]),
         "response_cache": _merge_response_cache(
             [doc.get("response_cache", {}) for doc in docs]
         ),
@@ -355,6 +357,8 @@ class CarbonQueryRouter(Server):
                     name=name, host=split.hostname, port=split.port, healthy=True
                 )
         self.ring = HashRing(self.replicas, vnodes=config.vnodes)
+        #: As many parsed requests as the replicas' default LRUs hold.
+        self.query_memo = routes.QueryMemo(DEFAULT_LRU_SIZE * len(self.replicas))
         self.failovers = 0
         self.retried_5xx = 0
         self.rejoins = 0
@@ -536,7 +540,7 @@ class CarbonQueryRouter(Server):
                 head += "\r\n"
                 writer.write(head.encode("ascii") + body)
                 await writer.drain()
-                status, headers, payload = await self._read_response(reader)
+                status, headers, payload = await read_response(reader)
             except _TRANSPORT_ERRORS:
                 writer.close()
                 if pooled:
@@ -550,31 +554,6 @@ class CarbonQueryRouter(Server):
                 writer.close()
             return status, headers, payload
 
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader,
-    ) -> tuple[int, dict[str, str], bytes]:
-        line = await reader.readuntil(b"\r\n")
-        parts = line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise ProtocolError(f"malformed status line from replica: {line!r}")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise ProtocolError(f"non-integer status from replica: {line!r}") from None
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readuntil(b"\r\n")
-            if raw == b"\r\n":
-                break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if not sep:
-                raise ProtocolError(f"malformed header from replica: {raw!r}")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await reader.readexactly(length) if length else b""
-        return status, headers, body
-
     # -- routing -----------------------------------------------------------
 
     def routing_key(self, request: Request) -> tuple[str, str]:
@@ -582,15 +561,16 @@ class CarbonQueryRouter(Server):
 
         Parseable query requests key on the canonical cache key — the
         same string the replica's LRU and batcher key on — so a shard's
-        traffic always lands where its cache is warm.  Everything else
-        (including malformed queries) keys on the raw request line,
-        which still gives a stable replica per distinct request.
+        traffic always lands where its cache is warm; the router's own
+        :class:`~repro.service.routes.QueryMemo` keys a repeated request
+        without parsing it.  Everything else (including malformed queries)
+        keys on the raw request line, which still gives a stable replica
+        per distinct request.
         """
         found = routes.match(request)
         if found.kind is not None:
             try:
-                query, _transport = routes.parse(found, request)
-                return found.label, query.cache_key()
+                return found.label, self.query_memo.parse(found, request)[1]
             except (QueryError, ProtocolError):
                 pass
         return found.label, f"{request.method} {request.raw_target or request.path}"
@@ -813,6 +793,7 @@ class CarbonQueryRouter(Server):
             "retried_5xx": self.retried_5xx,
             "rejoins": self.rejoins,
             "sweep_pins": len(self._sweep_owners),
+            "query_memo": self.query_memo.stats(),
             "ring": {
                 "vnodes": self.config.vnodes,
                 "nodes": list(self.ring.nodes),

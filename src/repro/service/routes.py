@@ -13,15 +13,20 @@ row does not answer, is a ``405`` counted under the row's label.  So
 whatever clients send, ``/metrics`` counts under the rows' labels,
 :data:`UNKNOWN`, :data:`INTERNAL_ERROR` and :data:`MALFORMED` only.
 docs/SERVICE.md shows the table.
+
+A :class:`QueryMemo` in front of :func:`parse` lets a request the server
+has already parsed skip parsing and keying: the service and the router
+each hold one.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import OrderedDict
 from typing import Callable, Mapping, NamedTuple
 
 from repro.service import queries
-from repro.service.http import ProtocolError, Request, Response
+from repro.service.http import MAX_REQUEST_LINE, ProtocolError, Request, Response
 from repro.telemetry.counters import ServiceCounters
 
 #: The labels of a request no row matches, of an exception no route maps,
@@ -126,6 +131,62 @@ def parse(found: Match, request: Request) -> tuple[queries.Query, dict[str, obje
     if kind == "footprint" and "workload" in params:
         kind = "genai"
     return queries.parse_query(kind, params), {}
+
+
+#: The query kinds a :class:`QueryMemo` keeps.  A ``/stream`` poll's cursor
+#: changes on every poll and a ``/sweep`` submission starts a job, so
+#: neither repeats; their entries would only evict hot ones.
+MEMOIZED_KINDS = frozenset({"experiment", "footprint", "schedule"})
+
+
+class QueryMemo:
+    """A bounded memo from what :func:`parse` reads to the query and its cache key.
+
+    The key is the matched row's query kind, its ``{id}``, the query
+    parameters in order and the body bytes; a hit skips parsing and
+    canonicalization.  Parsing is a pure function of that key, so an entry
+    never goes stale, and a query is frozen, so requests can share one.
+    Only successful parses enter, so an error is parsed, and worded,
+    afresh each time.  The least recently used entry is evicted first.  A
+    body longer than a request line may be never enters, so an entry holds
+    no more body bytes than a request line's worth.  Only the event loop
+    touches it.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: OrderedDict[tuple, tuple[queries.Query, str]] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def parse(self, found: Match, request: Request) -> tuple[queries.Query, str]:
+        """``(query, cache key)`` of a request to a query row; raises as :func:`parse`."""
+        if found.kind not in MEMOIZED_KINDS or len(request.body) > MAX_REQUEST_LINE:
+            query = parse(found, request)[0]
+            return query, query.cache_key()
+        key = (found.kind, found.id, tuple(request.params.items()), request.body)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
+        self.misses += 1
+        query = parse(found, request)[0]
+        entry = query, query.cache_key()
+        if self.maxsize:
+            self._entries[key] = entry
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return entry
+
+    def stats(self) -> dict[str, int]:
+        """Counter snapshot for ``/metrics``."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "size": len(self._entries),
+            "maxsize": self.maxsize,
+        }
 
 
 def error_body(kind: str, message: str) -> bytes:

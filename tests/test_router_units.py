@@ -4,7 +4,8 @@ Covers the pieces the conformance/chaos tiers exercise only end-to-end:
 ``RouterConfig`` validation, the fleet metrics rollup
 (:func:`~repro.service.router.merge_replica_metrics`), routing-key
 derivation (canonical cache keys for parseable queries, stable raw-line
-fallbacks otherwise), and the ``fabric`` CLI flags -> config mapping.
+fallbacks otherwise, a repeated request keyed without parsing it again),
+and the ``fabric`` CLI flags -> config mapping.
 """
 
 import argparse
@@ -121,6 +122,13 @@ class TestMetricsRollup:
         assert latency["max_s"] == pytest.approx(0.006)
         assert "p99_s" not in latency
 
+    def test_query_memo_blocks_sum(self):
+        docs = [self._doc(10, 8, 2, 0.001), self._doc(30, 15, 15, 0.003)]
+        docs[0]["query_memo"] = {"hits": 5, "misses": 2, "size": 2, "maxsize": 256}
+        docs[1]["query_memo"] = {"hits": 1, "misses": 9, "size": 9, "maxsize": 256}
+        merged = merge_replica_metrics(docs)
+        assert merged["query_memo"] == {"hits": 6, "maxsize": 512, "misses": 11, "size": 11}
+
     def test_empty_fleet_merges_to_zeroes(self):
         merged = merge_replica_metrics([])
         assert merged["service"]["replicas"] == 0
@@ -235,6 +243,44 @@ class TestRoutingKey:
         )
         assert endpoint == "/stream"
         assert key == "GET /stream?hours=not-a-number"
+
+
+class TestRoutingKeyMemo:
+    def test_the_memo_holds_256_entries_per_ring_node(self):
+        backends = ("http://127.0.0.1:9001", "http://127.0.0.1:9002", "http://127.0.0.1:9003")
+        router = CarbonQueryRouter(RouterConfig(port=0, backends=backends))
+        assert router.query_memo.maxsize == 3 * 256
+
+    def test_a_repeated_request_is_parsed_once(self, router, monkeypatch):
+        calls = []
+        parse_query = queries.parse_query
+
+        def counted(kind, params):
+            calls.append(kind)
+            return parse_query(kind, params)
+
+        monkeypatch.setattr(queries, "parse_query", counted)
+        request = make_request(path="/schedule/carbon-aware", params={"n_jobs": "25"})
+        keys = {router.routing_key(request) for _ in range(3)}
+        assert calls == ["schedule"]
+        expected = parse_query("schedule", {"n_jobs": "25"}).cache_key()
+        assert keys == {("/schedule/carbon-aware", expected)}
+        assert router.query_memo.stats()["hits"] == 2
+
+    def test_one_raw_target_with_different_params_keys_apart(self, router):
+        # The memo keys on what parsing reads, not on the raw target: two
+        # requests spelled alike on the wire but parsed apart stay apart.
+        keys = [
+            router.routing_key(
+                make_request(path="/footprint", params=params, raw_target="/footprint")
+            )[1]
+            for params in ({"busy_device_hours": "10"}, {"busy_device_hours": "20"})
+        ]
+        assert keys == [
+            queries.parse_query("footprint", {"busy_device_hours": hours}).cache_key()
+            for hours in ("10", "20")
+        ]
+        assert keys[0] != keys[1]
 
 
 class TestFabricFlags:
