@@ -21,7 +21,9 @@ that produce identical numbers from identical inputs share one bundle.
 A :class:`Ledger` persists bundles to an append-only JSONL store with
 named **runs** (one recorded execution sweep) and pinned **epochs**
 (named baselines; :mod:`repro.experiments.golden` imports
-``golden/baselines.json`` as epoch ``"0"``).
+``golden/baselines.json`` as epoch ``"0"``).  A handle keeps an index
+(each bundle's journal offset, the run and epoch tables), not the
+bundles, and reads a body back when one is asked for.
 
 ``diff_bundles`` compares two bundle sets claim by claim; ``sustainable-ai
 verify`` runs it against epoch ``"0"``.
@@ -33,12 +35,16 @@ original ``run --json`` / service response bytes.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import hashlib
+import io
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.canonical import (
     canonical_bytes,
@@ -627,6 +633,173 @@ def run_id_for(bundle_ids: Iterable[str]) -> str:
     return "run-" + content_hash(sorted(bundle_ids))[:12]
 
 
+#: The lock file every writer of a directory ledger holds (``flock``)
+#: while it appends, pins an epoch or compacts.
+LOCK_FILE = "ledger.lock"
+
+#: Bytes read per ``pread`` when a journal is scanned, and first when one
+#: line is read back.
+_SCAN_CHUNK = 1 << 20
+_LINE_CHUNK = 8192
+
+
+def _file_id(path: Path) -> tuple[int, int] | None:
+    """``(device, inode)`` of the file at ``path``, ``None`` if there is none."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+def _journal_line(bundle: Bundle) -> tuple[str, bytes]:
+    """A bundle's content address and its ``bundles.jsonl`` line.
+
+    Each member of the body is encoded once.  The address hashes the body
+    without its timestamp, as :attr:`Bundle.bundle_id` does; the line puts
+    the timestamp back.
+    """
+    body = bundle.to_payload()
+    provenance = compact_members(body.pop("provenance"))  # type: ignore[arg-type]
+    members = compact_members(body)
+    stamp = provenance.pop("recorded_at")
+    members["provenance"] = f'"provenance":{compact_object(provenance)}'
+    bundle_id = hashlib.sha256(compact_object(members).encode("utf-8")).hexdigest()
+    provenance["recorded_at"] = stamp
+    members["provenance"] = f'"provenance":{compact_object(provenance)}'
+    line = f'{{"bundle":{compact_object(members)},"bundle_id":"{bundle_id}"}}\n'
+    return bundle_id, line.encode("utf-8")
+
+
+class _Journal:
+    """One append-only JSON-lines journal, read back by byte offset.
+
+    A file journal holds its file open from the first read or append.  An
+    offset is valid only for the file it was read from, and
+    :meth:`replaced` tells when ``path`` names another file than the one
+    held: another handle's ``gc`` replaced it, or the directory was
+    removed.  ``path=None`` keeps the bytes in memory; both kinds are read
+    through :meth:`_pread`.  The lock file is held the same way and never
+    written.
+    """
+
+    def __init__(self, path: Path | None) -> None:
+        self.path = path
+        self._memory = bytearray() if path is None else None
+        self._file: io.FileIO | None = None
+        self._held: tuple[int, int] | None = None
+
+    def replaced(self) -> bool:
+        return self.path is not None and _file_id(self.path) != self._held
+
+    def open(self, *, append: bool = False) -> None:
+        """Hold the file at ``path``: to read it if it exists, or to
+        append to it (creating it)."""
+        self.close()
+        try:
+            self._file = io.FileIO(self.path, "a+" if append else "r")  # type: ignore[arg-type]
+        except FileNotFoundError:
+            if append:
+                raise
+            return
+        stat = os.fstat(self._file.fileno())
+        self._held = (stat.st_dev, stat.st_ino)
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+        self._file = self._held = None
+
+    def fileno(self) -> int | None:
+        return None if self._file is None else self._file.fileno()
+
+    def append(self, data: bytes) -> int:
+        """Append whole lines with one write; returns their offset.
+
+        The caller holds the writer lock, so the file's size is the
+        offset.  A short write is cut off again, so the next append does
+        not run on from a torn line.
+        """
+        if self._memory is not None:
+            offset = len(self._memory)
+            self._memory += data
+            return offset
+        if self._file is None or not self._file.writable():
+            self.open(append=True)
+        fd = self._file.fileno()  # type: ignore[union-attr]
+        offset = os.fstat(fd).st_size
+        if os.write(fd, data) != len(data):
+            os.ftruncate(fd, offset)
+            raise LedgerError(f"short write to {self.path}")
+        return offset
+
+    def rewrite(self, data: bytes) -> None:
+        """Replace the journal with ``data``, all or nothing, and hold the
+        new file."""
+        if self._memory is not None:
+            self._memory = bytearray(data)
+            return
+        write_atomic(self.path, data)  # type: ignore[arg-type]
+        self.open(append=True)
+
+    def size(self) -> int:
+        """Bytes of the file held (0 in memory or with none held)."""
+        return 0 if self._file is None else os.fstat(self._file.fileno()).st_size
+
+    def _pread(self, size: int, offset: int) -> bytes:
+        if self._memory is not None:
+            return bytes(self._memory[offset:offset + size])
+        if self._file is None:
+            return b""
+        return os.pread(self._file.fileno(), size, offset)
+
+    def line_at(self, offset: int) -> bytes:
+        """The line that starts at ``offset``, without its newline."""
+        size = _LINE_CHUNK
+        while True:
+            data = self._pread(size, offset)
+            end = data.find(b"\n")
+            if end >= 0:
+                return data[:end]
+            if len(data) < size:
+                return data
+            size *= 4
+
+    def lines(self) -> Iterator[tuple[int, bytes]]:
+        """``(offset, line)`` of every line in order, a torn last one included."""
+        offset, pending = 0, b""
+        while chunk := self._pread(_SCAN_CHUNK, offset + len(pending)):
+            pending += chunk
+            start = 0
+            while (end := pending.find(b"\n", start)) >= 0:
+                yield offset + start, pending[start:end]
+                start = end + 1
+            offset += start
+            pending = pending[start:]
+        if pending:
+            yield offset, pending
+
+
+class _Bundles(Mapping[str, Bundle]):
+    """:attr:`Ledger.bundles`: bundle id -> :class:`Bundle`, each body
+    parsed from its journal line when it is looked up."""
+
+    def __init__(self, ledger: "Ledger") -> None:
+        self._ledger = ledger
+
+    def __getitem__(self, bundle_id: str) -> Bundle:
+        return self._ledger._read_bundle(bundle_id)
+
+    def __contains__(self, bundle_id: object) -> bool:
+        return bundle_id in self._ledger._offsets
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ledger._offsets)
+
+    def __len__(self) -> int:
+        return len(self._ledger._offsets)
+
+
 class Ledger:
     """An append-only bundle store with runs and pinned epochs.
 
@@ -635,21 +808,40 @@ class Ledger:
         bundles.jsonl   one compact-canonical bundle per line, deduped by id
         runs.jsonl      run membership deltas (later lines merge by run_id)
         epochs.json     pinned name -> {experiments, meta} table
+        ledger.lock     locked (flock) by each writer while it writes
 
-    ``directory=None`` keeps everything in memory (the service's default
-    mode).  Loading tolerates torn trailing lines — a malformed line is
-    counted and skipped, never fatal, mirroring the disk cache's
-    corruption-is-a-miss stance.
+    A handle is an index: each bundle's offset in ``bundles.jsonl``, and
+    the run and epoch tables.  :attr:`bundles` parses a body only when
+    one is looked up.  Writers take the lock; before each write or read
+    a handle re-indexes if a journal's path names another file than the
+    one it holds (another handle's :meth:`gc` replaced it, or the
+    directory was removed).  Opening a handle creates nothing, and
+    readers never create the lock file.
+
+    ``directory=None`` keeps the bundle journal's bytes in memory (the
+    service's default mode), read by the same code.  Loading tolerates
+    torn trailing lines — a malformed line is counted and skipped, never
+    fatal, mirroring the disk cache's corruption-is-a-miss stance.
     """
 
     def __init__(self, directory: Path | None = None) -> None:
         self.directory = directory
-        self.bundles: dict[str, Bundle] = {}
+        self._bundle_journal = _Journal(None if directory is None else directory / "bundles.jsonl")
+        #: In memory the run table is the whole record: nothing is appended here.
+        self._run_journal = _Journal(None if directory is None else directory / "runs.jsonl")
+        self._lock_file = _Journal(None if directory is None else directory / LOCK_FILE)
+        #: bundle id -> offset of its line in the bundle journal.
+        self._offsets: dict[str, int] = {}
         self.runs: dict[str, RunEntry] = {}
         self.epochs: dict[str, dict[str, object]] = {}
         self.corrupt_lines = 0
         if directory is not None:
-            self._load(directory)
+            self._load()
+
+    @property
+    def bundles(self) -> Mapping[str, Bundle]:
+        """Every indexed bundle by id, read from its journal line on lookup."""
+        return _Bundles(self)
 
     # -- construction ------------------------------------------------------
 
@@ -662,42 +854,57 @@ class Ledger:
     def in_memory(cls) -> "Ledger":
         return cls(None)
 
-    def _load(self, directory: Path) -> None:
-        import json
+    def close(self) -> None:
+        """Release the files this handle holds; a later call opens them again."""
+        for held in (self._bundle_journal, self._run_journal, self._lock_file):
+            held.close()
 
-        bundles_file = directory / "bundles.jsonl"
-        if bundles_file.exists():
-            for line in bundles_file.read_text().splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                    bundle = Bundle.from_payload(doc["bundle"])
-                    self.bundles[str(doc["bundle_id"])] = bundle
-                except (ValueError, KeyError, TypeError, LedgerError):
-                    self.corrupt_lines += 1
-        runs_file = directory / "runs.jsonl"
-        if runs_file.exists():
-            for line in runs_file.read_text().splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                    run_id = str(doc["run_id"])
-                    recorded_at = doc.get("recorded_at")
-                    entry = self.runs.get(run_id)
-                    if entry is None:
-                        entry = RunEntry(run_id, recorded_at, {}, {})
-                        self.runs[run_id] = entry
-                    entry.experiments.update(
-                        {str(k): str(v) for k, v in doc.get("experiments", {}).items()}
-                    )
-                    entry.meta.update(doc.get("meta", {}))
-                    if recorded_at is not None:
-                        entry.recorded_at = float(recorded_at)
-                except (ValueError, KeyError, TypeError):
-                    self.corrupt_lines += 1
-        epochs_file = directory / "epochs.json"
+    def __enter__(self) -> "Ledger":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _load(self) -> None:
+        """Index both journals and read the epoch table.
+
+        Every bundle line is parsed and validated as a read would, so a
+        malformed one is counted here; only its id and offset are kept.
+        """
+        self._bundle_journal.open()
+        for offset, line in self._bundle_journal.lines():
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                Bundle.from_payload(doc["bundle"])
+                self._offsets[str(doc["bundle_id"])] = offset
+            except (ValueError, KeyError, TypeError, LedgerError):
+                self.corrupt_lines += 1
+        self._run_journal.open()
+        for _offset, line in self._run_journal.lines():
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                run_id = str(doc["run_id"])
+                recorded_at = doc.get("recorded_at")
+                entry = self.runs.get(run_id)
+                if entry is None:
+                    entry = RunEntry(run_id, recorded_at, {}, {})
+                    self.runs[run_id] = entry
+                entry.experiments.update(
+                    {str(k): str(v) for k, v in doc.get("experiments", {}).items()}
+                )
+                entry.meta.update(doc.get("meta", {}))
+                if recorded_at is not None:
+                    entry.recorded_at = float(recorded_at)
+            except (ValueError, KeyError, TypeError):
+                self.corrupt_lines += 1
+        self._load_epochs()
+
+    def _load_epochs(self) -> None:
+        epochs_file = self.directory / "epochs.json"  # type: ignore[operator]
         if epochs_file.exists():
             try:
                 doc = json.loads(epochs_file.read_text())
@@ -705,46 +912,67 @@ class Ledger:
             except (ValueError, AttributeError):
                 self.corrupt_lines += 1
 
+    def _reload(self) -> None:
+        """Drop the index and build it again from the directory."""
+        self._offsets, self.runs, self.epochs = {}, {}, {}
+        self.corrupt_lines = 0
+        self._load()
+
+    def _sync(self) -> None:
+        """Re-index if a journal's path names another file than the one held."""
+        if self._bundle_journal.replaced() or self._run_journal.replaced():
+            self._reload()
+
     # -- appends -----------------------------------------------------------
 
-    def _append(self, filename: str, line: str) -> None:
-        assert self.directory is not None
-        path = self.directory / filename
+    @contextlib.contextmanager
+    def _writing(self) -> Iterator[None]:
+        """Hold the directory's writer lock over a current index (an
+        in-memory ledger has no lock)."""
+        if self.directory is None:
+            yield
+            return
+        fd = self._lock()
         try:
-            handle = open(path, "a", encoding="utf-8")
-        except FileNotFoundError:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            handle = open(path, "a", encoding="utf-8")
-        with handle:
-            handle.write(line + "\n")
+            self._sync()
+            yield
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+
+    def _lock(self) -> int:
+        """Take the exclusive writer lock; returns the locked descriptor.
+
+        The directory and the lock file appear at the first write.  If the
+        directory was removed since, the file locked is one no other
+        handle opens, so the one now at its path is locked instead.
+        """
+        lock = self._lock_file
+        while True:
+            if lock.fileno() is None:
+                self.directory.mkdir(parents=True, exist_ok=True)  # type: ignore[union-attr]
+                lock.open(append=True)
+            fd: int = lock.fileno()  # type: ignore[assignment]
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if not lock.replaced():
+                return fd
+            lock.close()
 
     def _write_epochs(self) -> None:
         if self.directory is None:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
         body = canonical_dumps({"schema": SCHEMA_VERSION, "epochs": self.epochs}) + "\n"
         write_atomic(self.directory / "epochs.json", body.encode("utf-8"))
 
+    def _store(self, bundle_id: str, line: bytes) -> None:
+        """Append a bundle's line unless the index holds it (lock held)."""
+        if bundle_id not in self._offsets:
+            self._offsets[bundle_id] = self._bundle_journal.append(line)
+
     def record(self, bundle: Bundle) -> str:
         """Append one bundle (idempotent per content address)."""
-        # Each member of the body is encoded once.  The content address
-        # hashes the body without its timestamp, as Bundle.bundle_id does;
-        # the journal line puts the timestamp back.
-        body = bundle.to_payload()
-        provenance = compact_members(body.pop("provenance"))  # type: ignore[arg-type]
-        members = compact_members(body)
-        stamp = provenance.pop("recorded_at")
-        members["provenance"] = f'"provenance":{compact_object(provenance)}'
-        bundle_id = hashlib.sha256(compact_object(members).encode("utf-8")).hexdigest()
-        if bundle_id not in self.bundles:
-            self.bundles[bundle_id] = bundle
-            if self.directory is not None:
-                provenance["recorded_at"] = stamp
-                members["provenance"] = f'"provenance":{compact_object(provenance)}'
-                self._append(
-                    "bundles.jsonl",
-                    f'{{"bundle":{compact_object(members)},"bundle_id":"{bundle_id}"}}',
-                )
+        bundle_id, line = _journal_line(bundle)
+        with self._writing():
+            self._store(bundle_id, line)
         return bundle_id
 
     def record_run(
@@ -756,25 +984,29 @@ class Ledger:
         meta: Mapping[str, object] | None = None,
     ) -> str:
         """Record an atomic bundle set as one run; returns the run id."""
-        ids = {bundle.experiment_id: self.record(bundle) for bundle in bundles}
+        encoded = [_journal_line(bundle) for bundle in bundles]
+        ids = {bundle.experiment_id: bundle_id for bundle, (bundle_id, _) in zip(bundles, encoded)}
         rid = run_id or run_id_for(ids.values())
-        entry = self.runs.get(rid)
-        if entry is None:
-            entry = RunEntry(rid, recorded_at, {}, dict(meta or {}))
-            self.runs[rid] = entry
-        entry.experiments.update(ids)
-        entry.meta.update(meta or {})
-        if recorded_at is not None:
-            entry.recorded_at = recorded_at
-        if self.directory is not None:
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "run_id": rid,
-                "recorded_at": recorded_at,
-                "experiments": ids,
-                "meta": dict(meta or {}),
-            }
-            self._append("runs.jsonl", compact_dumps(doc))
+        with self._writing():
+            for bundle_id, line in encoded:
+                self._store(bundle_id, line)
+            if self.directory is not None:
+                doc = {
+                    "schema": SCHEMA_VERSION,
+                    "run_id": rid,
+                    "recorded_at": recorded_at,
+                    "experiments": ids,
+                    "meta": dict(meta or {}),
+                }
+                self._run_journal.append((compact_dumps(doc) + "\n").encode("utf-8"))
+            entry = self.runs.get(rid)
+            if entry is None:
+                entry = RunEntry(rid, recorded_at, {}, dict(meta or {}))
+                self.runs[rid] = entry
+            entry.experiments.update(ids)
+            entry.meta.update(meta or {})
+            if recorded_at is not None:
+                entry.recorded_at = recorded_at
         return rid
 
     def update_run(
@@ -801,24 +1033,56 @@ class Ledger:
         """Pin a named epoch from a bundle mapping or an existing run."""
         if (bundles is None) == (run_id is None):
             raise LedgerError("pin_epoch needs exactly one of bundles= or run_id=")
-        if run_id is not None:
-            if run_id not in self.runs:
-                raise LedgerError(f"unknown run {run_id!r}")
-            experiments = dict(self.runs[run_id].experiments)
-        else:
-            experiments = {eid: self.record(b) for eid, b in (bundles or {}).items()}
-        self.epochs[name] = {"experiments": experiments, "meta": dict(meta or {})}
-        self._write_epochs()
+        encoded = {eid: _journal_line(bundle) for eid, bundle in (bundles or {}).items()}
+        with self._writing():
+            if run_id is not None:
+                if run_id not in self.runs:
+                    raise LedgerError(f"unknown run {run_id!r}")
+                experiments = dict(self.runs[run_id].experiments)
+            else:
+                for bundle_id, line in encoded.values():
+                    self._store(bundle_id, line)
+                experiments = {eid: bundle_id for eid, (bundle_id, _) in encoded.items()}
+            if self.directory is not None:
+                self._load_epochs()  # another handle may have pinned one since
+            self.epochs[name] = {"experiments": experiments, "meta": dict(meta or {})}
+            self._write_epochs()
 
     # -- queries -----------------------------------------------------------
 
+    def _read_bundle(self, bundle_id: str) -> Bundle:
+        """The bundle indexed under ``bundle_id``; ``KeyError`` if none is."""
+        if self._bundle_journal.replaced():
+            self._reload()
+        bundle = self._bundle_at(bundle_id)
+        if bundle is None and self.directory is not None:
+            self._reload()  # the line at its offset carries another id
+            bundle = self._bundle_at(bundle_id)
+        if bundle is None:
+            raise KeyError(bundle_id)
+        return bundle
+
+    def _bundle_at(self, bundle_id: str) -> Bundle | None:
+        """The bundle on the line at ``bundle_id``'s offset, ``None`` if
+        that line does not carry ``bundle_id``."""
+        offset = self._offsets[bundle_id]
+        try:
+            doc = json.loads(self._bundle_journal.line_at(offset))
+            if str(doc["bundle_id"]) == bundle_id:
+                return Bundle.from_payload(doc["bundle"])
+        except (ValueError, KeyError, TypeError, LedgerError):
+            pass
+        return None
+
     def refs(self) -> tuple[str, ...]:
         """Every resolvable reference: epoch names then run ids."""
+        self._sync()
         return tuple(self.epochs) + tuple(self.runs)
 
     def resolve(self, ref: str) -> dict[str, Bundle]:
         """Bundle set of one reference: an epoch name, a run id, or a
         unique run-id prefix (>= 4 characters)."""
+        self._sync()
         if ref in self.epochs:
             mapping = self.epochs[ref].get("experiments", {})
         elif ref in self.runs:
@@ -831,13 +1095,13 @@ class Ledger:
             mapping = self.runs[matches[0]].experiments
         out: dict[str, Bundle] = {}
         for eid, bundle_id in mapping.items():  # type: ignore[union-attr]
-            bundle = self.bundles.get(str(bundle_id))
-            if bundle is None:
+            try:
+                out[str(eid)] = self._read_bundle(str(bundle_id))
+            except KeyError:
                 raise LedgerError(
                     f"ref {ref!r} names bundle {bundle_id!r} for {eid!r}, "
                     "but the bundle store has no such entry"
-                )
-            out[str(eid)] = bundle
+                ) from None
         return out
 
     def latest_bundle(self, experiment_id: str, ref: str | None = None) -> tuple[str, Bundle] | None:
@@ -847,15 +1111,16 @@ class Ledger:
             bundles = self.resolve(ref)
             bundle = bundles.get(experiment_id)
             return None if bundle is None else (ref, bundle)
+        self._sync()
         for run_id in reversed(list(self.runs)):
             bundle_id = self.runs[run_id].experiments.get(experiment_id)
-            if bundle_id is not None and bundle_id in self.bundles:
-                return run_id, self.bundles[bundle_id]
+            if bundle_id is not None and bundle_id in self._offsets:
+                return run_id, self._read_bundle(bundle_id)
         for name in reversed(list(self.epochs)):
             mapping = self.epochs[name].get("experiments", {})
             bundle_id = mapping.get(experiment_id)  # type: ignore[union-attr]
-            if bundle_id is not None and str(bundle_id) in self.bundles:
-                return name, self.bundles[str(bundle_id)]
+            if bundle_id is not None and str(bundle_id) in self._offsets:
+                return name, self._read_bundle(str(bundle_id))
         return None
 
     def diff(self, ref_a: str, ref_b: str, strict: bool = True) -> VerifyReport:
@@ -919,8 +1184,9 @@ class Ledger:
 
     def stats(self) -> dict[str, object]:
         """Summary counts (the ``/ledger`` body and ``/metrics`` block)."""
+        self._sync()
         return {
-            "bundles": len(self.bundles),
+            "bundles": len(self._offsets),
             "runs": list(self.runs),
             "epochs": list(self.epochs),
             "corrupt_lines": self.corrupt_lines,
@@ -949,76 +1215,86 @@ class Ledger:
           are dropped, and bundles referenced by neither an epoch nor a
           surviving run are removed.
 
-        Each journal is replaced atomically (:func:`write_atomic`).  With
-        ``dry_run=True`` nothing is modified; the report shows what a
-        real pass would do.  In-memory ledgers compact their dicts only.
+        A directory ledger holds the writer lock for the whole pass and
+        works from the journals as it re-reads them, so the appends of
+        every handle sharing the directory survive.  Each journal is
+        replaced atomically (:func:`write_atomic`), ``runs.jsonl`` first:
+        a failure between the two leaves only bundles no run names, which
+        the next pass drops.  With ``dry_run=True`` nothing is locked or
+        modified; the report shows what a real pass would do.  An
+        in-memory ledger compacts its own journal and tables.
         """
-        pinned: set[str] = set()
-        for epoch in self.epochs.values():
-            mapping = epoch.get("experiments", {})
-            pinned.update(str(bundle_id) for bundle_id in mapping.values())  # type: ignore[union-attr]
+        with contextlib.nullcontext() if dry_run else self._writing():
+            if self.directory is not None:
+                self._reload()
+            pinned: set[str] = set()
+            for epoch in self.epochs.values():
+                mapping = epoch.get("experiments", {})
+                pinned.update(str(bundle_id) for bundle_id in mapping.values())  # type: ignore[union-attr]
 
-        pruned_runs = tuple(
-            run_id
-            for run_id, entry in self.runs.items()
-            if older_than is not None
-            and entry.recorded_at is not None
-            and entry.recorded_at < older_than
-        )
-        kept_runs = {
-            run_id: entry for run_id, entry in self.runs.items() if run_id not in pruned_runs
-        }
-        live: set[str] = set(pinned)
-        for entry in kept_runs.values():
-            live.update(str(bundle_id) for bundle_id in entry.experiments.values())
-        kept_bundles = {
-            bundle_id: bundle
-            for bundle_id, bundle in self.bundles.items()
-            if bundle_id in live
-        }
-        removed_bundles = len(self.bundles) - len(kept_bundles)
+            pruned_runs = tuple(
+                run_id
+                for run_id, entry in self.runs.items()
+                if older_than is not None
+                and entry.recorded_at is not None
+                and entry.recorded_at < older_than
+            )
+            kept_runs = {
+                run_id: entry for run_id, entry in self.runs.items() if run_id not in pruned_runs
+            }
+            live: set[str] = set(pinned)
+            for entry in kept_runs.values():
+                live.update(str(bundle_id) for bundle_id in entry.experiments.values())
+            kept_ids = [bundle_id for bundle_id in self._offsets if bundle_id in live]
 
-        def _file_stats(name: str) -> tuple[int, int]:
-            if self.directory is None:
-                return 0, 0
-            path = self.directory / name
-            if not path.exists():
-                return 0, 0
-            text = path.read_text()
-            return len(text.encode("utf-8")), sum(1 for ln in text.splitlines() if ln.strip())
+            lines_before = bytes_before = 0
+            if self.directory is not None:
+                for journal in (self._bundle_journal, self._run_journal):
+                    bytes_before += journal.size()
+                    lines_before += sum(1 for _offset, line in journal.lines() if line.strip())
 
-        bundle_bytes, bundle_lines = _file_stats("bundles.jsonl")
-        run_bytes, run_lines = _file_stats("runs.jsonl")
+            bundle_out = [
+                self._bundle_journal.line_at(self._offsets[bundle_id]) + b"\n"
+                for bundle_id in kept_ids
+            ]
+            run_out = [
+                (compact_dumps(entry.to_payload()) + "\n").encode("utf-8")
+                for entry in kept_runs.values()
+            ]
 
-        bundle_out = [
-            compact_dumps({"bundle_id": bundle_id, "bundle": bundle.to_payload()})
-            for bundle_id, bundle in kept_bundles.items()
-        ]
-        run_out = [compact_dumps(entry.to_payload()) for entry in kept_runs.values()]
+            report = GcReport(
+                dry_run=dry_run,
+                runs_pruned=pruned_runs,
+                runs_kept=len(kept_runs),
+                bundles_removed=len(self._offsets) - len(kept_ids),
+                bundles_kept=len(kept_ids),
+                epochs_pinned=len(self.epochs),
+                lines_before=lines_before,
+                lines_after=len(bundle_out) + len(run_out),
+                bytes_before=bytes_before,
+                bytes_after=sum(len(line) for line in bundle_out + run_out),
+            )
+            if dry_run:
+                return report
 
-        report = GcReport(
-            dry_run=dry_run,
-            runs_pruned=pruned_runs,
-            runs_kept=len(kept_runs),
-            bundles_removed=removed_bundles,
-            bundles_kept=len(kept_bundles),
-            epochs_pinned=len(self.epochs),
-            lines_before=bundle_lines + run_lines,
-            lines_after=len(bundle_out) + len(run_out),
-            bytes_before=bundle_bytes + run_bytes,
-            bytes_after=sum(len(line) + 1 for line in bundle_out + run_out),
-        )
-        if dry_run:
+            try:
+                if self.directory is not None:
+                    self._run_journal.rewrite(b"".join(run_out))
+                self._bundle_journal.rewrite(b"".join(bundle_out))
+            except BaseException:
+                # Either journal may or may not be replaced: forget both,
+                # so the next read or write re-indexes from the directory.
+                self._bundle_journal.close()
+                self._run_journal.close()
+                raise
+            offsets: dict[str, int] = {}
+            position = 0
+            for bundle_id, line in zip(kept_ids, bundle_out):
+                offsets[bundle_id] = position
+                position += len(line)
+            self._offsets = offsets
+            self.runs = kept_runs
             return report
-
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            for name, lines in (("bundles.jsonl", bundle_out), ("runs.jsonl", run_out)):
-                text = "".join(line + "\n" for line in lines)
-                write_atomic(self.directory / name, text.encode("utf-8"))
-        self.bundles = kept_bundles
-        self.runs = kept_runs
-        return report
 
 
 @dataclass(frozen=True)
@@ -1069,6 +1345,7 @@ __all__ = [
     "DEFAULT_REL_TOL",
     "LEDGER_DIR_ENV_VAR",
     "GOLDEN_EPOCH",
+    "LOCK_FILE",
     "LedgerError",
     "units_for_metric",
     "Claim",

@@ -412,16 +412,26 @@ def _bundles_from_records(
 def _ledger_command(
     args: argparse.Namespace, jobs: int, retries: int, timeout: float | None
 ) -> int:
-    """``sustainable-ai ledger record|show|diff|trace``."""
-    from repro.core.report import format_table
-
+    """``sustainable-ai ledger record|show|diff|trace|gc``."""
     directory = ledger.resolve_ledger_dir(getattr(args, "ledger_dir", None))
     if directory is None:
         return _usage_error(
             "no ledger directory: pass --ledger-dir PATH or set "
             f"{ledger.LEDGER_DIR_ENV_VAR}"
         )
-    led = ledger.Ledger.open(directory)
+    with ledger.Ledger.open(directory) as led:
+        return _ledger_action(args, led, directory, jobs, retries, timeout)
+
+
+def _ledger_action(
+    args: argparse.Namespace,
+    led: ledger.Ledger,
+    directory: Path,
+    jobs: int,
+    retries: int,
+    timeout: float | None,
+) -> int:
+    from repro.core.report import format_table
 
     if args.action == "record":
         targets = _resolve_targets(args.experiment)
@@ -1220,17 +1230,17 @@ def _main(argv: list[str] | None) -> int:
         golden.write_baselines(baselines_path, golden.build_baselines(bundles))
         print(f"wrote {len(bundles)} baseline(s) to {baselines_path}")
         if ledger_dir is not None:
-            led = ledger.Ledger.open(ledger_dir)
-            run_id = led.record_run(
-                bundles,
-                recorded_at=recorded_at,
-                meta={"command": "verify --update"},
-            )
-            led.pin_epoch(
-                ledger.GOLDEN_EPOCH,
-                run_id=run_id,
-                meta={"source": "verify --update", "path": str(baselines_path)},
-            )
+            with ledger.Ledger.open(ledger_dir) as led:
+                run_id = led.record_run(
+                    bundles,
+                    recorded_at=recorded_at,
+                    meta={"command": "verify --update"},
+                )
+                led.pin_epoch(
+                    ledger.GOLDEN_EPOCH,
+                    run_id=run_id,
+                    meta={"source": "verify --update", "path": str(baselines_path)},
+                )
             print(
                 f"pinned epoch {ledger.GOLDEN_EPOCH!r} "
                 f"({len(bundles)} bundle(s)) in {ledger_dir}"
@@ -1245,17 +1255,17 @@ def _main(argv: list[str] | None) -> int:
         invariant_report = check_results(_successful_results(records))
         invariant_status = "ok" if invariant_report.ok else "violated"
 
-    led = ledger.Ledger.open(ledger_dir) if ledger_dir else ledger.Ledger.in_memory()
-    try:
-        golden.pin_golden_epoch(led, baselines_path, replace=bool(args.baselines))
-    except golden.BaselineError as exc:
-        return _usage_error(str(exc.args[0] if exc.args else exc))
-    bundles = _bundles_from_records(
-        records, invariant_status=invariant_status, recorded_at=recorded_at
-    )
-    if ledger_dir is not None:
-        led.record_run(bundles, recorded_at=recorded_at, meta={"command": "verify"})
-    report = golden.diff_run(led.resolve(ledger.GOLDEN_EPOCH), bundles)
+    with ledger.Ledger.open(ledger_dir) if ledger_dir else ledger.Ledger.in_memory() as led:
+        try:
+            golden.pin_golden_epoch(led, baselines_path, replace=bool(args.baselines))
+        except golden.BaselineError as exc:
+            return _usage_error(str(exc.args[0] if exc.args else exc))
+        bundles = _bundles_from_records(
+            records, invariant_status=invariant_status, recorded_at=recorded_at
+        )
+        if ledger_dir is not None:
+            led.record_run(bundles, recorded_at=recorded_at, meta={"command": "verify"})
+        report = golden.diff_run(led.resolve(ledger.GOLDEN_EPOCH), bundles)
     print(report.render())
     status = 0 if report.ok else 1
     if invariant_report is not None:

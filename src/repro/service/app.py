@@ -212,6 +212,7 @@ class CarbonQueryService(Server):
         if self._inline_executor is not None:
             self._inline_executor.shutdown(wait=False, cancel_futures=True)
             self._inline_executor = None
+        self.ledger.close()
 
     def summary(self) -> str:
         return f"(workers={self.config.workers}, max_queue={self.config.max_queue})"

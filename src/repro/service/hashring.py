@@ -108,7 +108,8 @@ class HashRing:
         """Distinct nodes in clockwise order from ``key``'s position.
 
         The first yielded node is the owner; the rest are the failover
-        order.  Yields every node exactly once.
+        order.  Yields every node exactly once, and stops walking the
+        ring at the last one.
         """
         if not self._points:
             return
@@ -121,6 +122,8 @@ class HashRing:
             if node not in seen:
                 seen.add(node)
                 yield node
+                if len(seen) == len(self._nodes):
+                    return
 
     def preference(self, key: str, count: int | None = None) -> tuple[str, ...]:
         """The first ``count`` nodes of :meth:`iter_preference` (all if None)."""

@@ -776,9 +776,10 @@ class CarbonQueryRouter(Server):
             # view only covers its own appends, so the router reads the
             # directory itself for the fleet-level truth.
             try:
-                shared = ledger.Ledger.open(self.config.ledger_dir)
+                with ledger.Ledger.open(self.config.ledger_dir) as shared:
+                    stats = shared.stats()
                 errors = doc.get("ledger", {}).get("errors", 0)
-                doc["ledger"] = {**shared.stats(), "errors": errors, "shared": True}
+                doc["ledger"] = {**stats, "errors": errors, "shared": True}
             except Exception:
                 pass
         doc["router"] = self.router_payload()

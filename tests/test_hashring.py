@@ -9,6 +9,8 @@ pin the *numeric* remap fraction (~1/N) on a large deterministic key
 sample, which a per-key law cannot express.
 """
 
+import bisect
+
 import pytest
 
 from repro.errors import ServiceError
@@ -85,6 +87,47 @@ class TestRingBasics:
         ring = HashRing(["a", "b", "c", "d"])
         assert ring.preference("k", count=2) == ring.preference("k")[:2]
         assert len(ring.preference("k", count=99)) == 4
+
+
+def full_walk(ring, key):
+    """The preference order read off every point of the ring (the reference)."""
+    points = list(ring._points)
+    start = bisect.bisect_left(points, (ring_position(key), ""))
+    order = []
+    for step in range(len(points)):
+        node = points[(start + step) % len(points)][1]
+        if node not in order:
+            order.append(node)
+    return tuple(order)
+
+
+class CountingPoints(list):
+    """A ring's point list that counts the points read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestPreferenceWalk:
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_order_equals_the_full_walk(self, size):
+        ring = HashRing([f"replica-{index}" for index in range(size)])
+        for key in KEY_SAMPLE[:2048]:
+            assert tuple(ring.iter_preference(key)) == full_walk(ring, key)
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_the_walk_stops_at_the_last_node(self, size):
+        ring = HashRing([f"replica-{index}" for index in range(size)])
+        points = ring._points = CountingPoints(ring._points)
+        for key in KEY_SAMPLE[:512]:
+            points.reads = 0
+            assert len(list(ring.iter_preference(key))) == size
+            # The bisection reads about log2(points); the walk stops at
+            # the point of the last node it had not yet seen.
+            assert points.reads < len(points)
 
 
 class TestQuantitativeBalance:

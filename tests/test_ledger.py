@@ -6,9 +6,11 @@ claim-by-claim diff that backs ``sustainable-ai verify``, and the
 ``fold_failures`` edge cases of runs with failed experiments.
 """
 
+import gc
 import hashlib
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from repro.core.canonical import canonical_bytes
 from repro.core.ledger import (
     DEFAULT_REL_TOL,
     GOLDEN_EPOCH,
+    LOCK_FILE,
     Bundle,
     Claim,
     Ledger,
@@ -458,6 +461,71 @@ class TestLedgerStore:
         assert {eid: b.bundle_id for eid, b in again.resolve("service").items()} == {
             "fig-y": second
         }
+
+
+def service_payload(index):
+    """A footprint-shaped service payload of about 700 bytes."""
+    return {
+        "query": {"kind": "footprint", "busy_device_hours": 100.0 + index, "region": "us-east"},
+        "headline": {"total_kg": 1.5 * index + 0.1, "embodied_kg": 0.5 * index + 0.7},
+        "rows": [[f"phase-{row}", index * 0.1 + row / 7, row * 1.5] for row in range(17)],
+    }
+
+
+def service_bundle(index):
+    return bundle_from_payload(
+        service_payload(index),
+        kind="footprint",
+        substrates=[("synthesize_grid_trace", "ab" * 32)],
+        invariant_status="ok",
+        recorded_at=float(index),
+    )
+
+
+class TestLedgerIndex:
+    @pytest.mark.parametrize("directory", [False, True], ids=["in-memory", "directory"])
+    def test_a_bundle_reads_back_equal_to_the_one_recorded(self, tmp_path, directory):
+        led = Ledger.open(tmp_path / "ledger") if directory else Ledger.in_memory()
+        recorded = service_bundle(7)
+        bundle_id = led.update_run("service", recorded, recorded_at=7.0)
+        read = led.resolve("service")[recorded.experiment_id]
+        assert read == recorded
+        assert read.bundle_id == bundle_id
+        assert read.reconstruct() == canonical_bytes(service_payload(7))
+        assert led.bundles[bundle_id] == recorded
+        assert led.latest_bundle(recorded.experiment_id) == ("service", recorded)
+
+    def test_a_directory_ledger_retains_under_1_kib_per_bundle(self, tmp_path):
+        led = Ledger.open(tmp_path / "ledger")
+        # The first record opens the journals and fills one-time caches.
+        led.update_run("service", service_bundle(-1), recorded_at=0.0)
+        tracemalloc.start()
+        try:
+            for index in range(2000):
+                led.update_run("service", service_bundle(index), recorded_at=float(index))
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained / 2000 <= 1024, f"{retained / 2000:.0f} bytes retained per bundle"
+        assert len(Ledger.open(tmp_path / "ledger").resolve("service")) == 2001
+
+    def test_opening_and_reading_create_nothing(self, tmp_path):
+        missing = tmp_path / "absent"
+        led = Ledger.open(missing)
+        assert led.stats()["bundles"] == 0 and led.refs() == ()
+        assert not missing.exists()
+        root = tmp_path / "ledger"
+        with Ledger.open(root) as writer:
+            writer.record_run([make_bundle()], run_id="r1")
+            writer.pin_epoch("base", run_id="r1")
+        (root / LOCK_FILE).unlink()
+        reader = Ledger.open(root)
+        reader.resolve("r1")
+        reader.diff("base", "r1")
+        reader.trace("fig-x", "total_kg")
+        reader.stats()
+        assert not (root / LOCK_FILE).exists()
 
 
 class TestLedgerDirResolution:

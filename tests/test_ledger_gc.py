@@ -5,11 +5,16 @@ any epoch references (the golden epoch ``"0"`` included) survives every
 gc pass no matter how old — while unpinned runs older than the cutoff
 are pruned with their now-unreferenced bundles, and surviving journals
 compact to one line per run/bundle (a long-lived service run's N delta
-lines become 1).
+lines become 1).  Handles that share a directory, in one process or
+several, lose nothing to another's gc.
 """
+
+import multiprocessing
+import time
 
 import pytest
 
+from repro.core import ledger
 from repro.core.ledger import GOLDEN_EPOCH, Ledger
 from repro.experiments.runner import main
 from tests.test_ledger import make_bundle
@@ -112,6 +117,88 @@ class TestCompaction:
         assert report.runs_pruned == ("old",)
         assert store.runs == {}
         assert report.lines_before == 0
+
+
+def append_many(root, name, count, barrier):
+    led = Ledger.open(root)
+    barrier.wait(timeout=60)
+    for index in range(count):
+        led.update_run("service", bundle_for(f"{name}-{index}"), recorded_at=float(index))
+
+
+def gc_until(root, done, barrier):
+    led = Ledger.open(root)
+    barrier.wait(timeout=60)
+    deadline = time.monotonic() + 60
+    while not done.exists() and time.monotonic() < deadline:
+        led.gc()
+
+
+class TestSharedDirectory:
+    def test_gc_keeps_the_appends_of_another_handle(self, tmp_path):
+        root = tmp_path / "ledger"
+        first, second = Ledger.open(root), Ledger.open(root)
+        first.update_run("service", bundle_for("fig-a"), recorded_at=1.0)
+        first.update_run("service", bundle_for("fig-b", 2.0), recorded_at=2.0)
+        second.update_run("service", bundle_for("fig-c", 3.0), recorded_at=3.0)
+        second.gc()
+        reloaded = Ledger.open(root)
+        assert len(reloaded.bundles) == 3
+        assert len(reloaded.runs["service"].experiments) == 3
+        # The first handle's next append lands in the journals gc wrote.
+        first.update_run("service", bundle_for("fig-d", 4.0), recorded_at=4.0)
+        everything = {"fig-a", "fig-b", "fig-c", "fig-d"}
+        assert set(Ledger.open(root).resolve("service")) == everything
+        assert set(first.resolve("service")) == everything
+
+    def test_writers_and_gc_in_several_processes_lose_nothing(self, tmp_path):
+        root, done = tmp_path / "ledger", tmp_path / "writers-done"
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4)
+        writers = [
+            context.Process(target=append_many, args=(root, f"w{n}", 150, barrier))
+            for n in range(3)
+        ]
+        compactor = context.Process(target=gc_until, args=(root, done, barrier))
+        for process in writers + [compactor]:
+            process.start()
+        for process in writers:
+            process.join(timeout=120)
+        done.touch()
+        compactor.join(timeout=120)
+        assert [p.exitcode for p in writers + [compactor]] == [0, 0, 0, 0]
+        reloaded = Ledger.open(root)
+        assert reloaded.corrupt_lines == 0
+        assert len(reloaded.runs["service"].experiments) == 450
+        assert len(reloaded.resolve("service")) == 450
+
+
+class TestInterruptedGc:
+    def test_a_failure_between_the_two_replaces_leaves_a_consistent_ledger(
+        self, store, monkeypatch
+    ):
+        store.record_run([bundle_for("fig-a")], run_id="old", recorded_at=1000.0)
+        store.record_run([bundle_for("fig-b", 2.0)], run_id="new", recorded_at=9000.0)
+        store.pin_epoch("base", run_id="new")
+        write_atomic = ledger.write_atomic
+        calls = []
+
+        def fail_second(path, *chunks):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_atomic(path, *chunks)
+
+        monkeypatch.setattr(ledger, "write_atomic", fail_second)
+        with pytest.raises(OSError, match="disk full"):
+            store.gc(older_than=5000.0)
+        monkeypatch.undo()
+        for handle in (Ledger.open(store.directory), store):
+            assert set(handle.refs()) == {"base", "new"}
+            for ref in handle.refs():
+                assert set(handle.resolve(ref)) == {"fig-b"}
+        # The next pass drops the bundle no run names any more.
+        assert store.gc(older_than=5000.0).bundles_removed == 1
 
 
 class TestCli:
