@@ -42,7 +42,7 @@ import enum
 import hashlib
 import os
 import pickle
-import tempfile
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -218,11 +218,20 @@ def write_atomic(path: Path, *chunks: bytes) -> None:
     The bytes go to a temporary file in ``path``'s directory, which
     ``os.replace`` renames over ``path``: on one filesystem a reader sees
     the old file or the new one, never a torn one.  The temporary file is
-    removed if any step fails.  Used by the disk cache and the ledger.
+    removed if any step fails.  It keeps the replaced file's permission
+    bits; a new file gets a plain ``open``'s, 0666 less the umask, which
+    the kernel applies.  Used by the disk cache and the ledger.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        mode: int | None = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             for chunk in chunks:
                 handle.write(chunk)
         os.replace(tmp, path)

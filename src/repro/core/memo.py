@@ -285,8 +285,9 @@ def clear_substrate_caches() -> None:
 # -- stats transport ---------------------------------------------------------
 # A worker sends the counter increments of each task back to the parent as
 # plain dicts (JSON- and pickle-friendly), where the deltas from every
-# worker are merged into one run-wide view.  Service tasks take them from
-# their SubstrateCollector; profiled runs diff two snapshots.
+# worker are merged into one run-wide view.  Every task takes them from its
+# SubstrateCollector (repro.testing.faults.hooked_task); snapshots measure
+# a whole process, such as a benchmark run.
 
 
 def stats_snapshot() -> dict[str, dict[str, int]]:

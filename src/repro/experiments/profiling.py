@@ -1,10 +1,11 @@
 """Per-experiment profiling: wall time, CPU time, peak RSS, cache traffic.
 
-``sustainable-ai run --profile`` wraps every experiment execution in a
-:class:`ProfileTimer`; the resulting :class:`ExperimentProfile` travels
-back from pool workers inside the run record payloads, so the parent can
-print a "slowest experiments" section and a run-wide substrate-cache
-summary, and ``--json`` envelopes carry the numbers for offline analysis.
+``sustainable-ai run --profile`` times every experiment where it runs and
+takes its cache traffic from the task's substrate collector; the
+resulting :class:`ExperimentProfile` travels back from pool workers inside
+the run record payloads, so the parent can print a "slowest experiments"
+section and a run-wide substrate-cache summary, and ``--json`` envelopes
+carry the numbers for offline analysis.
 
 Only the standard library is used: ``resource.getrusage`` supplies the
 peak-RSS high-water mark (no psutil dependency).  Note the high-water
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import resource
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -61,39 +61,6 @@ class ExperimentProfile:
                 str(name): {str(k): int(v) for k, v in dict(row).items()}
                 for name, row in dict(payload.get("cache", {})).items()
             },
-        )
-
-
-class ProfileTimer:
-    """Context manager measuring one experiment execution.
-
-    Usage::
-
-        with ProfileTimer() as timer:
-            result = run_experiment(exp_id)
-        profile = timer.profile
-    """
-
-    def __init__(self) -> None:
-        self.profile: ExperimentProfile | None = None
-        self._wall0 = 0.0
-        self._cpu0 = 0.0
-        self._cache0: dict[str, dict[str, int]] = {}
-
-    def __enter__(self) -> "ProfileTimer":
-        self._cache0 = memo.stats_snapshot()
-        self._wall0 = time.perf_counter()
-        self._cpu0 = time.process_time()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        wall = time.perf_counter() - self._wall0
-        cpu = time.process_time() - self._cpu0
-        self.profile = ExperimentProfile(
-            wall_s=wall,
-            cpu_s=cpu,
-            peak_rss_kb=process_peak_rss_kb(),
-            cache=memo.stats_delta(self._cache0, memo.stats_snapshot()),
         )
 
 

@@ -93,62 +93,36 @@ def _execute(
 ) -> dict[str, object]:
     """Worker body: run one experiment, return its payload + rendering.
 
-    Fault-injection hooks (:mod:`repro.testing.faults`) fire here, before
-    dispatch, so the production retry/degradation path is what gets
-    exercised; with no faults declared in the environment both calls are
-    no-ops.  With ``profile`` set, the execution is timed inside this
-    process (the worker, for pooled runs) and the measurements ride back
+    It runs in :func:`repro.testing.faults.hooked_task`, the service's
+    task body too, so the production retry/degradation path is what
+    faults exercise.  The clocks start after the hooks fire; with
+    ``profile`` set, the times and the collector's cache counts ride back
     to the parent in the output dict.
     """
     from repro.testing import faults
 
-    faults.install_memo_corruption()
-    faults.inject(exp_id, attempt, hard_exit=in_worker)
-    if not profile:
-        with memo.collect_substrates() as collector:
-            result = run_experiment(exp_id, attempt=attempt)
-        return {
-            "payload": _result_payload(result),
-            "rendered": result.render(),
-            "substrates": collector.pairs,
-        }
-    with profiling.ProfileTimer() as timer:
-        with memo.collect_substrates() as collector:
-            result = run_experiment(exp_id, attempt=attempt)
-    assert timer.profile is not None
-    return {
+    with faults.hooked_task(exp_id, attempt, in_worker) as collector:
+        wall, cpu = time.perf_counter(), time.process_time()
+        result = run_experiment(exp_id, attempt=attempt)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    output: dict[str, object] = {
         "payload": _result_payload(result),
         "rendered": result.render(),
         "substrates": collector.pairs,
-        "profile": timer.profile.to_payload(),
     }
+    if profile:
+        output["profile"] = profiling.ExperimentProfile(
+            wall_s=wall,
+            cpu_s=cpu,
+            peak_rss_kb=profiling.process_peak_rss_kb(),
+            cache=collector.stats,
+        ).to_payload()
+    return output
 
 
 def _failure(exc: BaseException) -> tuple[str, str]:
     """(error_kind, message) of an experiment that raised."""
     return "exception", f"{type(exc).__name__}: {exc}"
-
-
-def _run_round_sequential(
-    pending: Sequence[str],
-    attempts: dict[str, int],
-    outputs: dict[str, dict[str, object]],
-    failures: dict[str, tuple[str, str]],
-    profile: bool = False,
-) -> list[str]:
-    """One in-process attempt per pending experiment; returns retry list."""
-    needs_retry = []
-    for exp_id in pending:
-        try:
-            outputs[exp_id] = _execute(
-                exp_id, attempts[exp_id], in_worker=False, profile=profile
-            )
-            failures.pop(exp_id, None)
-        except Exception as exc:
-            failures[exp_id] = _failure(exc)
-            needs_retry.append(exp_id)
-        attempts[exp_id] += 1
-    return needs_retry
 
 
 async def _run_pooled(
@@ -215,7 +189,7 @@ def _run_many(
     error record is emitted in place of the result.
     """
     exp_ids = list(exp_ids)
-    attempts = {exp_id: 0 for exp_id in exp_ids}
+    attempts: dict[str, int] = {}
     outputs: dict[str, dict[str, object]] = {}
     failures: dict[str, tuple[str, str]] = {}
 
@@ -226,14 +200,15 @@ def _run_many(
             _run_pooled(exp_ids, jobs, attempts, outputs, failures, retries, timeout, profile)
         )
     else:
-        pending = list(exp_ids)
-        while pending:
-            needs_retry = _run_round_sequential(
-                pending, attempts, outputs, failures, profile
-            )
-            pending = [
-                exp_id for exp_id in needs_retry if attempts[exp_id] <= retries
-            ]
+        # One in-process lane: each experiment's attempts back to back.
+        for exp_id in exp_ids:
+            for attempt in range(retries + 1):
+                attempts[exp_id] = attempt + 1
+                try:
+                    outputs[exp_id] = _execute(exp_id, attempt, in_worker=False, profile=profile)
+                    break
+                except Exception as exc:
+                    failures[exp_id] = _failure(exc)
 
     records = []
     for exp_id in exp_ids:
@@ -243,7 +218,7 @@ def _run_many(
             record = RunRecord(
                 experiment_id=exp_id,
                 status="ok",
-                attempts=max(1, attempts[exp_id]),
+                attempts=attempts[exp_id],
                 payload=output["payload"],  # type: ignore[arg-type]
                 rendered=output["rendered"],  # type: ignore[arg-type]
                 profile=(
@@ -260,7 +235,7 @@ def _run_many(
             record = RunRecord(
                 experiment_id=exp_id,
                 status="failed",
-                attempts=max(1, attempts[exp_id]),
+                attempts=attempts[exp_id],
                 error_kind=kind,
                 error_message=message,
             )
@@ -323,16 +298,21 @@ def _add_fanout_flags(subparser: argparse.ArgumentParser) -> None:
             "takes the experiment; the worker is killed at it (default: none)"
         ),
     )
-    subparser.add_argument(
+    _add_disk_cache_flags(subparser, "pool workers warm-start")
+
+
+def _add_disk_cache_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
+    """``--cache-dir``/``--no-disk-cache``; ``_main`` exports the choice."""
+    parser.add_argument(
         "--cache-dir",
         metavar="PATH",
         default=None,
         help=(
             "enable the disk substrate cache at PATH (exported as "
-            f"{diskcache.CACHE_DIR_ENV_VAR} so pool workers warm-start)"
+            f"{diskcache.CACHE_DIR_ENV_VAR} so {purpose})"
         ),
     )
-    subparser.add_argument(
+    parser.add_argument(
         "--no-disk-cache",
         action="store_true",
         help="disable the disk substrate cache even if the env var is set",
@@ -362,20 +342,7 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     from repro.service.app import add_serve_flags
 
     add_serve_flags(parser)
-    parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=None,
-        help=(
-            "enable the disk substrate cache at PATH (exported as "
-            f"{diskcache.CACHE_DIR_ENV_VAR} so service workers warm-start)"
-        ),
-    )
-    parser.add_argument(
-        "--no-disk-cache",
-        action="store_true",
-        help="disable the disk substrate cache even if the env var is set",
-    )
+    _add_disk_cache_flags(parser, "service workers warm-start")
 
 
 def _add_fabric_flags(parser: argparse.ArgumentParser) -> None:
@@ -1026,21 +993,7 @@ def _main(argv: list[str] | None) -> int:
         action="store_true",
         help="suppress progress lines and the printed reports",
     )
-    sweep_parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=None,
-        help=(
-            "enable the disk substrate cache at PATH so interrupted sweeps "
-            f"resume from completed chunks (exported as "
-            f"{diskcache.CACHE_DIR_ENV_VAR})"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--no-disk-cache",
-        action="store_true",
-        help="disable the disk substrate cache even if the env var is set",
-    )
+    _add_disk_cache_flags(sweep_parser, "interrupted sweeps resume from completed chunks")
 
     cache_parser = sub.add_parser(
         "cache", help="inspect or clear the substrate caches"

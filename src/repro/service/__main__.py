@@ -1,27 +1,8 @@
-"""``python -m repro.service`` — standalone service entry point.
+"""``python -m repro.service``: the ``sustainable-ai serve`` command."""
 
-Equivalent to ``sustainable-ai serve``; useful when the console script
-is not installed (e.g. ``PYTHONPATH=src python -m repro.service``).
-"""
-
-from __future__ import annotations
-
-import argparse
 import sys
 
-from repro.service.app import add_serve_flags, config_from_args, serve
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: parse serve flags and run the service until signalled."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="Serve carbon-footprint queries over JSON/HTTP.",
-    )
-    add_serve_flags(parser)
-    args = parser.parse_args(argv)
-    return serve(config_from_args(args))
-
+from repro.experiments import runner
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(runner.main(["serve", *sys.argv[1:]]))

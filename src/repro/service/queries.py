@@ -23,10 +23,10 @@ value exactly when the library can run it.
 
 Queries travel to pool workers as ``(kind, params_json)`` pairs and are
 re-parsed there (:func:`execute_query_task`), so the worker boundary only
-ever carries plain strings and dicts.  The task body fires the
-fault-injection hooks of :mod:`repro.testing.faults` exactly like the
-experiment runner's worker does, and ships the substrate-cache counter
-delta of the execution back to the parent alongside the payload.
+ever carries plain strings and dicts.  The task body is the experiment
+runner's: :func:`repro.testing.faults.hooked_task` fires the
+fault-injection hooks and counts the execution's substrate-cache events,
+which ride back to the parent alongside the payload.
 """
 
 from __future__ import annotations
@@ -611,38 +611,23 @@ def parse_sweep(params: Mapping[str, object]) -> SweepQuery:
     return SweepQuery(spec)
 
 
-def _run_with_hooks(target: str, attempt: int, in_worker: bool, run):
-    """Fire the fault hooks for ``target``, then ``run()`` under memo accounting.
-
-    Returns ``(result, substrate-cache counter delta, substrates built)``;
-    the delta is what the collector counted while ``run()`` ran.
-    """
-    from repro.core import memo
-    from repro.testing import faults
-
-    faults.install_memo_corruption()
-    faults.inject(target, attempt=attempt, hard_exit=in_worker)
-    with memo.collect_substrates() as collector:
-        result = run()
-    return result, collector.stats, collector.pairs
-
-
 def execute_sweep_chunk_task(
     params_json: str, start: int, stop: int, attempt: int = 0, in_worker: bool = True
 ) -> dict[str, object]:
     """Worker body for one sweep chunk: fault hooks, compute, ship stats.
 
     The chunk travels back as plain arrays plus the substrate-cache
-    counter delta, mirroring :func:`execute_query_task`.  ``attempt``
+    counter delta, as in :func:`execute_query_task`.  ``attempt``
     feeds the fault grammar's ``@attempts`` selector, so ``crash:sweep@0``
     kills only the first try of a chunk and the manager's retry resumes
     the sweep from the chunk that died.
     """
+    from repro.testing import faults
+
     spec = spec_from_params(json.loads(params_json))
-    chunk, delta, substrates = _run_with_hooks(
-        "sweep", attempt, in_worker, lambda: sweep_chunk(spec, start, stop)
-    )
-    return {"chunk": chunk, "stats_delta": delta, "substrates": substrates}
+    with faults.hooked_task("sweep", attempt, in_worker) as collector:
+        chunk = sweep_chunk(spec, start, stop)
+    return {"chunk": chunk, "stats_delta": collector.stats, "substrates": collector.pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -763,17 +748,20 @@ def parse_query(kind: str, params: Mapping[str, object]) -> Query:
 def execute_query_task(kind: str, params_json: str, in_worker: bool = True) -> dict[str, object]:
     """Worker body: parse, fire fault hooks, execute, ship stats back.
 
-    Mirrors the experiment runner's worker
-    (:func:`repro.experiments.runner._execute`): fault-injection hooks
-    run first so the production degradation paths are what tests
+    The execution runs in :func:`repro.testing.faults.hooked_task`, the
+    body the experiment runner's worker uses too: fault-injection hooks
+    fire first so the production degradation paths are what tests
     exercise, and the substrate-cache counter delta of this execution
     rides back to the service process for the ``/metrics`` merge.
     ``in_worker=False`` (inline execution, ``--workers 0``) downgrades
     ``crash`` faults to exceptions so the server process survives.
     """
+    from repro.testing import faults
+
     query = parse_query(kind, json.loads(params_json))
-    payload, delta, substrates = _run_with_hooks(query.fault_target(), 0, in_worker, query.execute)
-    return {"payload": payload, "stats_delta": delta, "substrates": substrates}
+    with faults.hooked_task(query.fault_target(), 0, in_worker) as collector:
+        payload = query.execute()
+    return {"payload": payload, "stats_delta": collector.stats, "substrates": collector.pairs}
 
 
 def payload_to_result(payload: Mapping[str, object]):

@@ -41,9 +41,10 @@ Fabric semantics on top of the single-node service contract:
   and ledger counters into one fleet document plus a ``router`` block
   (ring shares, per-replica health, failovers).
 * **Shared tiers** — ``--cache-dir`` points every replica at one
-  content-addressed disk substrate cache and ``--ledger-dir`` at one
-  claim-ledger directory, so all replicas record into a single
-  ``service`` run.
+  content-addressed disk substrate cache (the runner exports it as
+  ``SUSTAINABLE_AI_CACHE_DIR``, which replicas inherit) and
+  ``--ledger-dir`` at one claim-ledger directory, so all replicas record
+  into a single ``service`` run.
 
 Its lifecycle (listen, drain on SIGTERM/SIGINT, ``--metrics-json``) is
 the :class:`repro.service.server.Server` it shares with the service; its
@@ -55,7 +56,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import signal
 import subprocess
 import sys
@@ -93,7 +93,6 @@ __all__ = [
     "run_router",
     "add_fabric_flags",
     "router_config_from_args",
-    "main",
 ]
 
 #: Router defaults, shared by the CLI flags and :class:`RouterConfig`.
@@ -131,8 +130,6 @@ class RouterConfig(ServerConfig):
     #: Extra ``python -m repro.service`` argv for every managed replica
     #: (e.g. ``("--workers", "0")``).
     replica_args: tuple[str, ...] = ()
-    #: Shared content-addressed substrate disk cache for all replicas.
-    cache_dir: str | None = None
     #: Shared claim-ledger directory; all replicas record into one
     #: ``service`` run and the router reports fleet-level ledger stats.
     ledger_dir: str | None = None
@@ -402,14 +399,15 @@ class CarbonQueryRouter(Server):
     # -- replica processes -------------------------------------------------
 
     def _spawn_blocking(self) -> tuple[subprocess.Popen, int]:
-        """Start one replica process; return it with its port."""
-        env = dict(os.environ)
-        if self.config.cache_dir:
-            env["SUSTAINABLE_AI_CACHE_DIR"] = self.config.cache_dir
+        """Start one replica process; return it with its port.
+
+        The replica inherits this process's environment, so a disk cache
+        the runner exported for ``fabric --cache-dir`` is the replicas' too.
+        """
         args = ["--host", "127.0.0.1", "--port", "0"]
         if self.config.ledger_dir:
             args += ["--ledger-dir", self.config.ledger_dir]
-        return spawn("repro.service", [*args, *self.config.replica_args], env=env)
+        return spawn("repro.service", [*args, *self.config.replica_args])
 
     async def _start_replica(self, replica: Replica) -> None:
         """Spawn ``replica``'s process (again, after a death) and mark it healthy."""
@@ -956,20 +954,11 @@ def router_config_from_args(args) -> RouterConfig:
         proxy_timeout_s=None if args.proxy_timeout <= 0 else args.proxy_timeout,
         restart_replicas=not args.no_restart,
         replica_args=tuple(replica_args),
-        cache_dir=args.cache_dir,
         ledger_dir=args.ledger_dir,
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.service.router`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.router",
-        description="Consistent-hash fabric router over carbon-query service replicas.",
-    )
-    add_fabric_flags(parser)
-    return run_router(router_config_from_args(parser.parse_args(argv)))
+if __name__ == "__main__":  # the ``sustainable-ai fabric`` command
+    from repro.experiments import runner
 
-
-if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(runner.main(["fabric", *sys.argv[1:]]))

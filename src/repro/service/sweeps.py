@@ -142,18 +142,14 @@ class SweepManager:
         spec = job.query.spec
         params_json = compact_dumps(job.query.to_params())
         pieces = []
-        substrates: list[tuple[str, str | None]] = []
-        seen: set[tuple[str, str | None]] = set()
+        substrates = memo.SubstrateCollector()
         try:
             for start, stop in chunk_bounds(job.total_points, SERVICE_CHUNK_POINTS):
                 outcome = await self._run_chunk(job, params_json, start, stop)
                 memo.merge_stats(self._service.worker_stats, outcome["stats_delta"])
                 pieces.append(tuple(np.asarray(a) for a in outcome["chunk"]))
                 for qualname, digest in outcome.get("substrates", ()):
-                    pair = (str(qualname), digest)
-                    if pair not in seen:
-                        seen.add(pair)
-                        substrates.append(pair)
+                    substrates.add(str(qualname), digest)
                 job.completed_points = stop
             result = SweepOutcome(
                 spec=spec, params=sample_points(spec), results=assemble_chunks(pieces)
@@ -163,7 +159,7 @@ class SweepManager:
             body = queries.render_payload(payload)
             self._service.cache.put(job.query.cache_key(), body)
             self._service._record_claims(
-                job.query, {"payload": payload, "substrates": substrates}, checked=checked
+                job.query, {"payload": payload, "substrates": substrates.pairs}, checked=checked
             )
             job.body = body
             job.status = "done"

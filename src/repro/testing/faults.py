@@ -3,7 +3,7 @@
 Faults are declared in the :data:`FAULTS_ENV_VAR` environment variable
 (which the runner's and the service's pool workers inherit), so the
 production code path is exercised unchanged — no test-only branches in
-the runner beyond one :func:`inject` call per experiment execution.
+the runner or the service beyond one :func:`hooked_task` block per task.
 
 Directive grammar (semicolon-separated)::
 
@@ -28,13 +28,16 @@ Example::
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from repro.core import memo
 from repro.errors import InjectedFault
 
 #: Environment variable holding the fault plan.
@@ -117,12 +120,30 @@ def _parse_directive(directive: str) -> Fault:
     return Fault(mode=mode, target=target, param=param, attempts=attempts)
 
 
-def inject(experiment_id: str, attempt: int = 0, hard_exit: bool = True) -> None:
-    """Fire any env-declared fault for this experiment execution.
+@contextlib.contextmanager
+def hooked_task(
+    target: str, attempt: int, in_worker: bool
+) -> Iterator[memo.SubstrateCollector]:
+    """The body of every worker task: fire the fault hooks, then collect.
 
-    Called by the runner's worker body before dispatching an experiment.
-    ``hard_exit=False`` (the sequential in-process path) downgrades
-    ``crash`` to ``raise`` so the CLI process itself survives.
+    The runner's experiments and the service's queries and sweep chunks
+    run in this block.  The hooks fire before the collector opens, so a
+    task timed inside the block never counts a ``timeout`` fault's sleep.
+    ``in_worker=False`` downgrades ``crash`` to ``raise`` so an in-process
+    caller survives.
+    """
+    install_memo_corruption()
+    inject(target, attempt, hard_exit=in_worker)
+    with memo.collect_substrates() as collector:
+        yield collector
+
+
+def inject(experiment_id: str, attempt: int = 0, hard_exit: bool = True) -> None:
+    """Fire any env-declared fault for this task execution.
+
+    Called by :func:`hooked_task` before the task runs.  ``hard_exit=False``
+    (an in-process task) downgrades ``crash`` to ``raise`` so the calling
+    process itself survives.
     """
     plan = FaultPlan.from_env()
     if not plan:
@@ -180,8 +201,6 @@ def install_memo_corruption() -> bool:
     Returns True when a corruptor was installed.  Idempotent; clears any
     previous hook when no corrupt-memo directive is active.
     """
-    from repro.core import memo
-
     plan = FaultPlan.from_env()
     directives = [f for f in plan.faults if f.mode == "corrupt-memo"]
     if not directives:

@@ -6,15 +6,18 @@ gc pass no matter how old — while unpinned runs older than the cutoff
 are pruned with their now-unreferenced bundles, and surviving journals
 compact to one line per run/bundle (a long-lived service run's N delta
 lines become 1).  Handles that share a directory, in one process or
-several, lose nothing to another's gc.
+several, lose nothing to another's gc, and a rewritten file keeps the
+mode it had (or a plain new file's).
 """
 
 import multiprocessing
+import os
+import stat
 import time
 
 import pytest
 
-from repro.core import ledger
+from repro.core import diskcache, ledger
 from repro.core.ledger import GOLDEN_EPOCH, Ledger
 from repro.experiments.runner import main
 from tests.test_ledger import make_bundle
@@ -199,6 +202,58 @@ class TestInterruptedGc:
                 assert set(handle.resolve(ref)) == {"fig-b"}
         # The next pass drops the bundle no run names any more.
         assert store.gc(older_than=5000.0).bundles_removed == 1
+
+
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(previous)
+
+
+def mode_of(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def plain_mode(directory):
+    """The mode a plain new file in ``directory`` gets."""
+    probe = directory / "probe"
+    probe.write_bytes(b"")
+    try:
+        return mode_of(probe)
+    finally:
+        probe.unlink()
+
+
+@pytest.mark.usefixtures("umask_022")
+class TestFileModes:
+    def test_modes_survive_gc_and_a_pin(self, tmp_path):
+        store = Ledger.open(tmp_path / "ledger")
+        store.record_run([bundle_for("fig-a")], run_id="a", recorded_at=1.0)
+        store.pin_epoch("base", run_id="a")
+        store.gc()
+        expected = plain_mode(store.directory)
+        for name in ("bundles.jsonl", "runs.jsonl", "epochs.json", "ledger.lock"):
+            assert oct(mode_of(store.directory / name)) == oct(expected), name
+
+    def test_a_chmod_of_a_journal_survives_gc_and_a_pin(self, tmp_path):
+        store = Ledger.open(tmp_path / "ledger")
+        store.record_run([bundle_for("fig-a")], run_id="a", recorded_at=1.0)
+        store.pin_epoch("base", run_id="a")
+        for name in ("bundles.jsonl", "epochs.json"):
+            (store.directory / name).chmod(0o640)
+        store.pin_epoch("again", run_id="a")
+        store.gc()
+        for name in ("bundles.jsonl", "epochs.json"):
+            assert oct(mode_of(store.directory / name)) == oct(0o640), name
+
+    def test_a_cache_entry_gets_a_plain_new_files_mode(self, tmp_path):
+        entry = tmp_path / "entry.pkl"
+        assert diskcache.store(entry, (1.0, 2.0))
+        assert oct(mode_of(entry)) == oct(plain_mode(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.pkl"]
 
 
 class TestCli:

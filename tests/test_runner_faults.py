@@ -163,6 +163,25 @@ class TestRunWithFaults:
             ("fig8", "failed", "crash", 2),
         ]
 
+    def test_an_in_process_run_retries_each_experiment_back_to_back(self, monkeypatch):
+        # The --jobs 1 lane, like a pooled one, finishes fig7's attempts
+        # before fig8 starts, and calls _execute through the module.
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "raise:fig7@0")
+        calls = []
+        execute = runner_mod._execute
+
+        def spy(exp_id, attempt, *args, **kwargs):
+            calls.append((exp_id, attempt))
+            return execute(exp_id, attempt, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_execute", spy)
+        records = runner_mod._run_many(["fig7", "fig8"], jobs=1, retries=1)
+        assert [(r.experiment_id, r.status, r.attempts) for r in records] == [
+            ("fig7", "ok", 2),
+            ("fig8", "ok", 1),
+        ]
+        assert calls == [("fig7", 0), ("fig7", 1), ("fig8", 0)]
+
     def test_a_timed_out_worker_is_killed(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "timeout:fig7:15")
         started = time.monotonic()

@@ -8,8 +8,9 @@ grammar the experiment runner hardens against) surface as structured
 500s for the crashed worker's own request only, SIGTERM drains in-flight
 requests before the process exits, a SIGKILLed server leaves no
 worker, port or connection behind, a payload breaking a result invariant
-is refused while the runtime self-checks are on, and a fabric starts even
-when its replicas write to stderr before their banner.
+is refused while the runtime self-checks are on, a fabric starts even
+when its replicas write to stderr before their banner, and the module
+entry points are the runner's ``serve`` and ``fabric`` commands.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import math
 import os
 import signal
 import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 from urllib.parse import parse_qsl
@@ -680,3 +683,63 @@ class TestLaunch:
             client.close()
         assert reply.status == 200
         assert reply.json()["replicas"] == {"healthy": 1, "total": 1}
+
+    @pytest.mark.parametrize(
+        "module, argv, message",
+        [
+            ("repro.service", ["--workers", "-1"], "error: workers must be >= 0"),
+            (
+                "repro.service.router",
+                ["--proxy-timeout", "nan"],
+                "error: proxy timeout must be positive",
+            ),
+        ],
+    )
+    def test_a_module_entry_point_refuses_a_bad_flag_like_the_runner(
+        self, module, argv, message
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env=_module_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(message), done.stderr
+
+    def test_the_service_module_takes_the_cache_flags(self, tmp_path):
+        proc, _port = spawn(
+            "repro.service",
+            ["--port", "0", "--workers", "0", "--cache-dir", str(tmp_path)],
+            env=_module_env(),
+        )
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        proc.stdout.close()
+
+    def test_fabric_cache_dir_reaches_its_replicas(self, tmp_path):
+        cache = tmp_path / "cache"
+        proc, port = spawn(
+            "repro.service.router",
+            ["--port", "0", "--replicas", "1", "--workers", "0", "--cache-dir", str(cache)],
+            env=_module_env(SUSTAINABLE_AI_CACHE_DIR="off"),
+        )
+        try:
+            client = ServiceClient("127.0.0.1", port)
+            assert client.get("/schedule/carbon-aware?n_jobs=5").status == 200
+            client.close()
+            assert list(cache.rglob("*.pkl"))
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            proc.stdout.close()
+
+
+def _module_env(**overrides):
+    """This checkout's environment for a ``python -m`` child."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env.pop(faults.FAULTS_ENV_VAR, None)
+    env.update(overrides)
+    return env
