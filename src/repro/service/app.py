@@ -419,29 +419,7 @@ class CarbonQueryService(Server):
         except (ProtocolError, QueryError) as exc:
             return _bad_request(exc)
         assert isinstance(query, queries.SweepQuery)
-        from repro.service.sweeps import sweep_id_for
-
-        if (
-            self.sweeps.get(sweep_id_for(query)) is None
-            and self.sweeps.active_count() >= self.config.max_sweeps
-        ):
-            return (
-                Response(
-                    429,
-                    error_body(
-                        "overloaded",
-                        f"{self.sweeps.active_count()} sweep(s) running >= "
-                        f"max sweeps {self.config.max_sweeps}; retry later",
-                    ),
-                ),
-                None,
-            )
-        job, created = self.sweeps.submit(query)
-        status = 202 if job.status == "running" else 200
-        return (
-            Response(status, queries.render_payload(job.progress_payload())),
-            "miss" if created else "hit",
-        )
+        return self.sweeps.submit(query)
 
     async def _poll_sweep(self, request: Request, found: routes.Match) -> _Answer:
         """``GET /sweep/{id}`` and ``GET /sweep/{id}/result``."""

@@ -31,6 +31,7 @@ which ride back to the parent alongside the payload.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -568,15 +569,19 @@ class SweepQuery(Query):
 
     Unlike the interactive query kinds this one is executed *chunked* by
     :class:`repro.service.sweeps.SweepManager` — submit, poll progress,
-    fetch the result — but it still carries the standard cache key, so a
-    finished sweep's bytes are served straight from the response LRU, and
+    fetch the result — as the job named :attr:`sweep_id`, and
     :meth:`execute` remains the one-shot library-equivalent path the
-    conformance suite compares those bytes against.
+    conformance suite compares the job's result bytes against.
     """
 
     spec: SweepSpec
 
     kind = "sweep"
+
+    @property
+    def sweep_id(self) -> str:
+        """The job's id, a short digest of the cache key; the fabric routes on it."""
+        return hashlib.sha256(self.cache_key().encode("utf-8")).hexdigest()[:12]
 
     def to_params(self) -> dict[str, object]:
         return spec_to_params(self.spec)

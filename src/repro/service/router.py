@@ -26,10 +26,13 @@ Fabric semantics on top of the single-node service contract:
   ``health_interval_s``; ``eject_after`` consecutive failures eject a
   replica and one success rejoins it.  Managed (spawned) replicas whose
   process died are restarted and rejoin with cold caches.
-* **Sweep pinning** — ``POST /sweep`` routes by the sweep's canonical
-  key; the answering replica is pinned as the job's owner and later
-  ``GET /sweep/{id}`` polls go straight to it (unknown ids are resolved
-  by asking every replica).
+* **Sweep routing** — a sweep job's id is a digest of its spec
+  (:attr:`repro.service.queries.SweepQuery.sweep_id`), and each request of
+  the job routes on it: ``POST /sweep`` on the id of the spec it carries,
+  ``GET /sweep/{id}[/result]`` on the id in its path.  So a job lives on
+  its id's ring owner and the router keeps no table of jobs.  A poll that
+  a replica answers ``404`` walks on down the preference order, which
+  finds a job whose submission failed over.
 * **Stream pinning** — ``GET /stream`` routes by the stream *spec*'s
   canonical key with the transport params (``cursor``, ``wait_s``,
   ``max_ticks``) stripped, so every poll of one stream lands on the
@@ -109,6 +112,11 @@ MAX_POOLED_CONNECTIONS = 32
 _TRANSPORT_ERRORS = (OSError, asyncio.IncompleteReadError, ProtocolError)
 #: Every failure of one upstream exchange (see ``_upstream_failure``).
 _UPSTREAM_ERRORS = (asyncio.TimeoutError, *_TRANSPORT_ERRORS)
+
+#: The rows of a sweep job's polls.  Only the replica running a job knows
+#: its id, so a poll walks on past a ``404``; a query walks on past a
+#: crash (``500``) or a drain (``503``), its replica's own answers.
+_SWEEP_POLLS = frozenset({"/sweep/{id}", "/sweep/{id}/result"})
 
 
 @dataclass(frozen=True)
@@ -360,15 +368,12 @@ class CarbonQueryRouter(Server):
         self.retried_5xx = 0
         self.rejoins = 0
         self._pools: dict[str, deque] = {name: deque() for name in self.replicas}
-        self._sweep_owners: dict[str, str] = {}
         #: The rows the router answers itself (``GET`` only); it forwards
         #: every other request to the replica its ring key names.
         self._local = {
             "/healthz": self._healthz,
             "/metrics": self._metrics,
             "/sweep": self._sweep_list,
-            "/sweep/{id}": self._sweep_poll,
-            "/sweep/{id}/result": self._sweep_poll,
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -561,16 +566,23 @@ class CarbonQueryRouter(Server):
         same string the replica's LRU and batcher key on — so a shard's
         traffic always lands where its cache is warm; the router's own
         :class:`~repro.service.routes.QueryMemo` keys a repeated request
-        without parsing it.  Everything else (including malformed queries)
-        keys on the raw request line, which still gives a stable replica
-        per distinct request.
+        without parsing it.  A sweep job's requests key on its id, so
+        they all land on one replica.  Everything else (including
+        malformed queries) keys on the raw request line, which still
+        gives a stable replica per distinct request.
         """
         found = routes.match(request)
+        if found.label in _SWEEP_POLLS:
+            return found.label, found.id
         if found.kind is not None:
             try:
-                return found.label, self.query_memo.parse(found, request)[1]
+                query, key = self.query_memo.parse(found, request)
             except (QueryError, ProtocolError):
                 pass
+            else:
+                if isinstance(query, queries.SweepQuery):
+                    return found.label, query.sweep_id
+                return found.label, key
         return found.label, f"{request.method} {request.raw_target or request.path}"
 
     async def _route(self, request: Request) -> tuple[str, Response, None]:
@@ -578,10 +590,8 @@ class CarbonQueryRouter(Server):
         local = self._local.get(endpoint) if request.method == "GET" else None
         if local is not None:
             return endpoint, await local(request), None
-        response, replica_name = await self._forward(key, request)
-        if endpoint == "/sweep" and replica_name is not None and response.status in (200, 202):
-            self._pin_sweep(response.body, replica_name)
-        return endpoint, response, None
+        walk_on = (404,) if endpoint in _SWEEP_POLLS else (500, 503)
+        return endpoint, await self._forward(key, request, walk_on), None
 
     async def _healthz(self, request: Request) -> Response:
         healthy = sum(1 for r in self.replicas.values() if r.healthy)
@@ -600,14 +610,6 @@ class CarbonQueryRouter(Server):
     async def _metrics(self, request: Request) -> Response:
         return Response(200, queries.render_payload(await self.metrics_document()))
 
-    def _pin_sweep(self, body: bytes, replica_name: str) -> None:
-        try:
-            sweep_id = json.loads(body).get("sweep_id")
-        except ValueError:
-            return
-        if isinstance(sweep_id, str) and sweep_id:
-            self._sweep_owners[sweep_id] = replica_name
-
     def _candidates(self, key: str) -> list[Replica]:
         """Failover order: healthy replicas first, then the ejected ones
         as a last resort (health probes lag reality by up to one tick)."""
@@ -615,50 +617,46 @@ class CarbonQueryRouter(Server):
         healthy = [replica for replica in order if replica.healthy]
         return healthy + [replica for replica in order if not replica.healthy]
 
-    async def _forward(
-        self, key: str, request: Request
-    ) -> tuple[Response, str | None]:
+    async def _forward(self, key: str, request: Request, walk_on: tuple[int, ...]) -> Response:
+        """The router's one failover walk: ``request`` down the key's candidates.
+
+        A replica that does not answer is ejected and the request goes on
+        to the next one, unless it timed out (see ``_upstream_failure``).
+        An answer whose status is in ``walk_on`` goes on too, unless it is
+        the last replica's.  A step past a failure or a ``5xx`` counts as a
+        failover; a fault that reproduces everywhere still surfaces as the
+        last body.
+        """
         if self._draining:
-            return (
-                Response(
-                    503,
-                    error_body("draining", "router is shutting down; retry elsewhere"),
-                ),
-                None,
-            )
+            return Response(503, error_body("draining", "router is shutting down; retry elsewhere"))
         target = request.raw_target or request.path
         content_type = request.headers.get("content-type")
-        last_response: Response | None = None
-        attempted = 0
         candidates = self._candidates(key)
+        response: Response | None = None
+        failed = False
         for replica in candidates:
-            if attempted:
+            if failed:
                 self.failovers += 1
-            attempted += 1
             try:
                 status, _headers, body = await self._exchange(
                     replica, request.method, target, request.body, content_type
                 )
             except _UPSTREAM_ERRORS as exc:
-                last_response = self._upstream_failure(replica, exc)
-                if last_response.status == 504:
-                    return last_response, replica.name
+                response = self._upstream_failure(replica, exc)
+                if response.status == 504:
+                    return response
+                failed = True
                 continue
             replica.proxied += 1
-            if status in (500, 503) and attempted < len(candidates):
-                # Crash/drain responses are replica-local and queries are
-                # idempotent: retry on the next ring node.  A fault that
-                # reproduces everywhere still surfaces as the last body.
+            response = Response(status, body)
+            if status not in walk_on or replica is candidates[-1]:
+                return response
+            failed = status >= 500
+            if failed:
                 self.retried_5xx += 1
-                last_response = Response(status, body)
-                continue
-            return Response(status, body), replica.name
-        if last_response is not None:
-            return last_response, None
-        return (
-            Response(502, error_body("no-replicas", "no replica is available")),
-            None,
-        )
+        if response is None:
+            return Response(502, error_body("no-replicas", "no replica is available"))
+        return response
 
     def _upstream_failure(self, replica: Replica, exc: BaseException) -> Response:
         """The answer for an exchange with ``replica`` that raised ``exc``.
@@ -690,84 +688,46 @@ class CarbonQueryRouter(Server):
             return await exchange
         return await asyncio.wait_for(exchange, self.config.proxy_timeout_s)
 
-    # -- sweep pass-through ------------------------------------------------
+    # -- fan-out -----------------------------------------------------------
+
+    async def _fan_out(self, target: str) -> tuple[list[dict], int]:
+        """``GET target`` from every replica, healthy ones first.
+
+        Returns the JSON objects the replicas answered ``200`` with, and
+        how many replicas gave no such answer.
+        """
+        docs: list[dict] = []
+        unreachable = 0
+        for replica in sorted(self.replicas.values(), key=lambda r: not r.healthy):
+            try:
+                status, _headers, body = await self._exchange(replica, "GET", target, b"", None)
+                doc = json.loads(body) if status == 200 else None
+            except (*_UPSTREAM_ERRORS, ValueError):
+                doc = None
+            if isinstance(doc, dict):
+                docs.append(doc)
+            else:
+                unreachable += 1
+        return docs, unreachable
 
     async def _sweep_list(self, request: Request) -> Response:
         """``GET /sweep``: the union of every replica's job list."""
+        docs, unreachable = await self._fan_out("/sweep")
         jobs: dict[str, dict] = {}
-        errors = 0
-        for replica in self._all_replicas_healthy_first():
-            try:
-                status, _headers, body = await self._exchange(
-                    replica, "GET", "/sweep", b"", None
-                )
-            except _UPSTREAM_ERRORS:
-                errors += 1
-                continue
-            if status != 200:
-                errors += 1
-                continue
-            for job in json.loads(body).get("sweeps", []):
+        for doc in docs:
+            for job in doc.get("sweeps", []):
                 sweep_id = job.get("sweep_id")
                 if isinstance(sweep_id, str):
                     jobs.setdefault(sweep_id, job)
-        payload = {"sweeps": [jobs[sweep_id] for sweep_id in sorted(jobs)]}
-        if errors:
-            payload["unreachable_replicas"] = errors
+        payload: dict[str, object] = {"sweeps": [jobs[sweep_id] for sweep_id in sorted(jobs)]}
+        if unreachable:
+            payload["unreachable_replicas"] = unreachable
         return Response(200, queries.render_payload(payload))
-
-    def _all_replicas_healthy_first(self) -> list[Replica]:
-        replicas = sorted(self.replicas.values(), key=lambda r: r.name)
-        return [r for r in replicas if r.healthy] + [r for r in replicas if not r.healthy]
-
-    async def _sweep_poll(self, request: Request) -> Response:
-        """``GET /sweep/{id}[/result]``: pinned to the job's owner."""
-        target = request.raw_target or request.path
-        owner = self._sweep_owners.get(routes.match(request).id)
-        order: list[Replica]
-        if owner is not None and owner in self.replicas:
-            # The owner answers even while marked unhealthy: a managed
-            # restart means the job died with the old process, and the
-            # replica's own 404 is the canonical body for that.
-            order = [self.replicas[owner]]
-        else:
-            order = self._all_replicas_healthy_first()
-        last: Response | None = None
-        for replica in order:
-            try:
-                status, _headers, body = await self._exchange(
-                    replica, "GET", target, b"", None
-                )
-            except _UPSTREAM_ERRORS as exc:
-                last = self._upstream_failure(replica, exc)
-                if last.status == 504:
-                    return last
-                continue
-            replica.proxied += 1
-            if status == 404 and owner is None and replica is not order[-1]:
-                # Unknown pin: another replica may own the job.
-                last = Response(status, body)
-                continue
-            return Response(status, body)
-        assert last is not None
-        return last
 
     # -- metrics -----------------------------------------------------------
 
     async def metrics_document(self) -> dict[str, object]:
-        docs = []
-        for replica in self.replicas.values():
-            try:
-                status, _headers, body = await self._exchange(
-                    replica, "GET", "/metrics", b"", None
-                )
-            except _UPSTREAM_ERRORS:
-                continue
-            if status == 200:
-                try:
-                    docs.append(json.loads(body))
-                except ValueError:
-                    continue
+        docs, _unreachable = await self._fan_out("/metrics")
         doc = merge_replica_metrics(docs)
         if self.config.ledger_dir:
             # The replicas share one on-disk ledger; each one's in-memory
@@ -791,7 +751,6 @@ class CarbonQueryRouter(Server):
             "failovers": self.failovers,
             "retried_5xx": self.retried_5xx,
             "rejoins": self.rejoins,
-            "sweep_pins": len(self._sweep_owners),
             "query_memo": self.query_memo.stats(),
             "ring": {
                 "vnodes": self.config.vnodes,

@@ -17,16 +17,16 @@ on the other workers are unaffected, so an injected ``crash:sweep@0``
 fault costs one chunk retry, not a restart.
 
 The finished document is ``SweepOutcome.to_payload()`` rendered through
-:func:`repro.service.queries.render_payload` and stored in the service's
-response LRU under the query's canonical cache key — so a completed
-sweep's bytes are identical whether fetched from ``/sweep/{id}/result``,
-replayed through the LRU, or produced by a direct library call.
+:func:`repro.service.queries.render_payload` and held by the job, so a
+completed sweep's bytes are identical whether fetched from
+``/sweep/{id}/result`` or produced by a direct library call.  The job is
+named by :attr:`repro.service.queries.SweepQuery.sweep_id`, which is also
+the fabric router's ring key for every ``/sweep`` request of the job.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -36,7 +36,9 @@ from repro.core import memo
 from repro.core.canonical import compact_dumps
 from repro.errors import InjectedFault
 from repro.service import queries
+from repro.service.http import Response
 from repro.service.pool import WorkerCrash
+from repro.service.routes import error_body
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports us)
     from repro.service.app import CarbonQueryService
@@ -83,11 +85,6 @@ class SweepJob:
         return payload
 
 
-def sweep_id_for(query: queries.SweepQuery) -> str:
-    """Deterministic job id: a short digest of the canonical cache key."""
-    return hashlib.sha256(query.cache_key().encode("utf-8")).hexdigest()[:12]
-
-
 class SweepManager:
     """Owns the sweep jobs of one service instance."""
 
@@ -105,26 +102,28 @@ class SweepManager:
         """Jobs currently running (admission control counts these)."""
         return sum(1 for job in self.jobs.values() if job.status == "running")
 
-    def submit(self, query: queries.SweepQuery) -> tuple[SweepJob, bool]:
-        """Start (or rejoin) the job for a spec; ``(job, newly_created)``.
+    def submit(self, query: queries.SweepQuery) -> tuple[Response, str | None]:
+        """``POST /sweep``: the answer, and its cache state, for one spec.
 
-        Submission is idempotent on the canonical cache key: re-posting a
-        spec whose job is running or finished returns the existing job
-        instead of duplicating work.
+        Submission is idempotent on the job id: re-posting a spec whose job
+        is running or finished answers that job (``"hit"``) instead of
+        duplicating work.  A new spec while ``max_sweeps`` jobs run gets a
+        ``429``.
         """
-        sweep_id = sweep_id_for(query)
-        existing = self.jobs.get(sweep_id)
-        if existing is not None:
-            return existing, False
-        job = SweepJob(
-            sweep_id=sweep_id,
-            query=query,
-            total_points=query.spec.total_points(),
-        )
-        self.jobs[sweep_id] = job
-        self.submitted += 1
-        job.task = asyncio.get_running_loop().create_task(self._run_job(job))
-        return job, True
+        sweep_id = query.sweep_id
+        job = self.jobs.get(sweep_id)
+        cache_state = "hit"
+        if job is None:
+            running = self.active_count()
+            if running >= self.max_sweeps:
+                message = f"{running} sweep(s) running >= max sweeps {self.max_sweeps}; retry later"
+                return Response(429, error_body("overloaded", message)), None
+            job = self.jobs[sweep_id] = SweepJob(sweep_id, query, query.spec.total_points())
+            self.submitted += 1
+            job.task = asyncio.get_running_loop().create_task(self._run_job(job))
+            cache_state = "miss"
+        status = 202 if job.status == "running" else 200
+        return Response(status, queries.render_payload(job.progress_payload())), cache_state
 
     def get(self, sweep_id: str) -> SweepJob | None:
         return self.jobs.get(sweep_id)
@@ -157,7 +156,6 @@ class SweepManager:
             payload = result.to_payload()
             checked = queries.self_check(payload, f"sweep {job.sweep_id}")
             body = queries.render_payload(payload)
-            self._service.cache.put(job.query.cache_key(), body)
             self._service._record_claims(
                 job.query, {"payload": payload, "substrates": substrates.pairs}, checked=checked
             )

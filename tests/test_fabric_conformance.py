@@ -5,8 +5,10 @@ inline services) must be indistinguishable — byte for byte — from one
 single-node service and from the direct library path, for the full
 45-experiment registry (cold and warm), the footprint/schedule
 endpoints, and the sweep submit/poll/result lifecycle.  The module also
-pins the fabric-only surfaces: sweep-to-owner pinning, the aggregated
-``/metrics`` rollup, and the router's own ``/healthz``.
+pins the fabric-only surfaces: sweep routing by job id (a poll costs one
+upstream exchange, a poll of a job whose submission failed over walks
+past the owner's ``404``, a failed job's ``500`` is final), the
+aggregated ``/metrics`` rollup, and the router's own ``/healthz``.
 
 Everything runs inline (``workers=0``) and requests are driven
 sequentially: experiment execution seeds the global RNG, so two
@@ -23,6 +25,7 @@ import pytest
 from repro.experiments.registry import experiment_ids
 from repro.service.queries import parse_query, render_payload
 from repro.service.router import RouterConfig, start_router
+from repro.testing import faults
 from tests.serviceutil import ServiceClient, running_service
 
 pytestmark = pytest.mark.slow
@@ -49,6 +52,27 @@ def fabric():
         fabric_client = ServiceClient(config.host, router_handle.port)
         stack.callback(fabric_client.close)
         yield fabric_client, single_client, router_handle
+
+
+@pytest.fixture
+def steady(fabric):
+    """(client, router) of a second router over the fabric's replicas.
+
+    Its health probe waits an hour, so a test decides which replicas
+    count as healthy.
+    """
+    _fabric_client, _single, router_handle = fabric
+    config = RouterConfig(
+        port=0,
+        replicas=0,
+        backends=router_handle.server.config.backends,
+        health_interval_s=3600,
+    )
+    handle = start_router(config)
+    client = ServiceClient(config.host, handle.port)
+    yield client, handle.server
+    client.close()
+    handle.stop()
 
 
 class TestExperimentConformance:
@@ -144,6 +168,12 @@ SWEEP_SPEC = {
 }
 
 
+def _proxied(client) -> int:
+    """Requests the router has forwarded, summed over its replicas."""
+    replicas = client.get("/metrics").json()["router"]["replicas"]
+    return sum(replica["proxied"] for replica in replicas)
+
+
 def _wait_sweep(client, sweep_id, deadline_s=60.0):
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
@@ -163,7 +193,9 @@ class TestSweepConformance:
         assert submitted.status in (200, 202)
         sweep_id = submitted.json()["sweep_id"]
         # Polls for a submitted sweep are pinned to the owning replica.
-        assert router_handle.server._sweep_owners.get(sweep_id)
+        before = _proxied(fabric_client)
+        assert fabric_client.get(f"/sweep/{sweep_id}").status == 200
+        assert _proxied(fabric_client) == before + 1
         final = _wait_sweep(fabric_client, sweep_id)
         assert final["status"] == "done"
         result = fabric_client.get(f"/sweep/{sweep_id}/result")
@@ -192,6 +224,43 @@ class TestSweepConformance:
         fabric_client, _single, _router = fabric
         assert fabric_client.get("/sweep/does-not-exist").status == 404
         assert fabric_client.get("/sweep/does-not-exist/result").status == 404
+
+
+class TestSweepRouting:
+    """A job lives on its id's ring owner; the router keeps no table of jobs."""
+
+    def test_a_failed_over_submission_is_found_once_the_owner_is_back(self, steady):
+        client, router = steady
+        spec = dict(SWEEP_SPEC, seed=8)
+        sweep_id = parse_query("sweep", dict(spec)).sweep_id
+        owner = router.replicas[router.ring.owner(sweep_id)]
+        owner.healthy = False
+        try:
+            submitted = client.post("/sweep", dict(spec))
+        finally:
+            owner.healthy = True
+        assert submitted.status == 202
+        assert submitted.json()["sweep_id"] == sweep_id
+        # The owner answers 404 and the poll walks on to the job's replica.
+        before = _proxied(client)
+        assert client.get(f"/sweep/{sweep_id}").status == 200
+        assert _proxied(client) == before + 2
+        assert _wait_sweep(client, sweep_id)["status"] == "done"
+        result = client.get(f"/sweep/{sweep_id}/result")
+        assert result.status == 200
+        assert result.body == render_payload(parse_query("sweep", dict(spec)).execute())
+        # A 404 step is not a failover.
+        assert (router.failovers, router.retried_5xx) == (0, 0)
+
+    def test_a_failed_jobs_result_is_its_replicas_500(self, steady, monkeypatch):
+        client, router = steady
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "raise:sweep")
+        sweep_id = client.post("/sweep", dict(SWEEP_SPEC, seed=9)).json()["sweep_id"]
+        assert _wait_sweep(client, sweep_id)["status"] == "failed"
+        result = client.get(f"/sweep/{sweep_id}/result")
+        assert result.status == 500
+        assert result.json()["error"]["kind"] == "sweep-failed"
+        assert (router.failovers, router.retried_5xx) == (0, 0)
 
 
 class TestFabricSurfaces:

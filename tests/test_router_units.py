@@ -9,6 +9,7 @@ and the ``fabric`` CLI flags -> config mapping.
 """
 
 import argparse
+import json
 import math
 
 import pytest
@@ -243,6 +244,22 @@ class TestRoutingKey:
         )
         assert endpoint == "/stream"
         assert key == "GET /stream?hours=not-a-number"
+
+    def test_a_sweep_jobs_submission_and_polls_key_on_its_id(self, router):
+        # A job lives on its id's ring owner, so the router keeps no job table.
+        spec = {
+            "busy_device_hours": 1000.0,
+            "ranges": [{"name": "pue", "lo": 1.1, "hi": 1.5, "points": 3}],
+        }
+        sweep_id = queries.parse_query("sweep", dict(spec)).sweep_id
+        submit = make_request(method="POST", path="/sweep", body=json.dumps(spec).encode())
+        poll = make_request(path=f"/sweep/{sweep_id}")
+        result = make_request(path=f"/sweep/{sweep_id}/result")
+        assert [router.routing_key(r) for r in (submit, poll, result)] == [
+            ("/sweep", sweep_id),
+            ("/sweep/{id}", sweep_id),
+            ("/sweep/{id}/result", sweep_id),
+        ]
 
 
 class TestRoutingKeyMemo:

@@ -619,6 +619,17 @@ class TestSweepRobustness:
             assert reply.status == 500
             assert reply.json()["error"]["kind"] == "sweep-failed"
 
+    def test_a_finished_sweep_evicts_nothing_from_the_response_lru(self):
+        """No route reads a sweep from the LRU, so a job writes nothing there:
+        a one-entry LRU still holds the footprint it held before the sweep."""
+        with running_service(workers=0, lru_size=1) as (_handle, client):
+            assert client.get("/footprint?busy_device_hours=10").status == 200
+            sweep_id = client.post("/sweep", dict(SOBOL_SWEEP, n_points=64)).json()["sweep_id"]
+            assert _wait_sweep(client, sweep_id)[-1]["status"] == "done"
+            assert client.get("/footprint?busy_device_hours=10").status == 200
+            cache = client.get("/metrics").json()["response_cache"]
+        assert (cache["hits"], cache["evictions"]) == (1, 0)
+
     def test_sweep_admission_sheds_excess_with_429(self, monkeypatch):
         """max_sweeps=1 + a slow job -> a second spec is shed, rejoining
         the running spec is not."""
