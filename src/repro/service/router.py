@@ -42,12 +42,14 @@ Fabric semantics on top of the single-node service contract:
 * **Aggregated `/metrics`** — the router sums the replicas'
   ``ServiceCounters``, response-cache, batching, substrate-cache, sweep
   and ledger counters into one fleet document plus a ``router`` block
-  (ring shares, per-replica health, failovers).
+  (ring shares, per-replica health, failovers).  It reads no data source
+  of its own: a shared ledger's contents are ``ledger show``'s to report.
 * **Shared tiers** — ``--cache-dir`` points every replica at one
   content-addressed disk substrate cache (the runner exports it as
   ``SUSTAINABLE_AI_CACHE_DIR``, which replicas inherit) and
-  ``--ledger-dir`` at one claim-ledger directory, so all replicas record
-  into a single ``service`` run.
+  ``--ledger-dir``, forwarded like every other replica flag, at one
+  claim-ledger directory, so all replicas record into a single
+  ``service`` run.
 
 Its lifecycle (listen, drain on SIGTERM/SIGINT, ``--metrics-json``) is
 the :class:`repro.service.server.Server` it shares with the service; its
@@ -68,7 +70,6 @@ from dataclasses import dataclass
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from repro.core import ledger
 from repro.errors import QueryError, ServiceError
 from repro.service import queries, routes
 from repro.service.cache import DEFAULT_LRU_SIZE
@@ -113,6 +114,33 @@ _TRANSPORT_ERRORS = (OSError, asyncio.IncompleteReadError, ProtocolError)
 #: Every failure of one upstream exchange (see ``_upstream_failure``).
 _UPSTREAM_ERRORS = (asyncio.TimeoutError, *_TRANSPORT_ERRORS)
 
+#: The ``serve`` flags ``fabric`` forwards to every managed replica, as
+#: ``(flag, type, metavar, help)``, in the order they enter ``replica_args``.
+_REPLICA_FLAGS = (
+    ("--workers", int, "K", "worker processes per replica (default: the service default)"),
+    ("--lru-size", int, "N", "response LRU size per replica (default: the service default)"),
+    (
+        "--ledger-dir",
+        str,
+        "DIR",
+        "shared claim-ledger directory; replicas record into one 'service' run",
+    ),
+    (
+        "--ledger-gc-interval",
+        float,
+        "SECONDS",
+        "periodic ledger journal compaction per replica "
+        "(default: the service default — disabled)",
+    ),
+    ("--max-streams", int, "N", "live /stream cap per replica (default: the service default)"),
+    (
+        "--stream-tick-hz",
+        float,
+        "HZ",
+        "stream feed release rate per replica (default: the service default)",
+    ),
+)
+
 #: The rows of a sweep job's polls.  Only the replica running a job knows
 #: its id, so a poll walks on past a ``404``; a query walks on past a
 #: crash (``500``) or a drain (``503``), its replica's own answers.
@@ -136,11 +164,8 @@ class RouterConfig(ServerConfig):
     #: Restart managed replicas whose process died (chaos recovery).
     restart_replicas: bool = True
     #: Extra ``python -m repro.service`` argv for every managed replica
-    #: (e.g. ``("--workers", "0")``).
+    #: (e.g. ``("--workers", "0")`` or ``("--ledger-dir", DIR)``).
     replica_args: tuple[str, ...] = ()
-    #: Shared claim-ledger directory; all replicas record into one
-    #: ``service`` run and the router reports fleet-level ledger stats.
-    ledger_dir: str | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -199,11 +224,13 @@ class Replica:
 # ---------------------------------------------------------------------------
 
 
-def _sum_counter_maps(rows: Sequence[dict]) -> dict[str, int]:
+def _sum_counter_maps(rows: Sequence[dict], skip: str = "") -> dict[str, int]:
+    """Key-wise sums of ``rows``; the ``skip`` key is left out."""
     out: dict[str, int] = {}
     for row in rows:
         for key, value in row.items():
-            out[key] = out.get(key, 0) + int(value)
+            if key != skip:
+                out[key] = out.get(key, 0) + int(value)
     return dict(sorted(out.items()))
 
 
@@ -246,17 +273,9 @@ def _merge_requests(docs: Sequence[dict]) -> dict[str, object]:
 
 
 def _merge_response_cache(docs: Sequence[dict]) -> dict[str, object]:
-    hits = sum(int(doc.get("hits", 0)) for doc in docs)
-    misses = sum(int(doc.get("misses", 0)) for doc in docs)
-    lookups = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "evictions": sum(int(doc.get("evictions", 0)) for doc in docs),
-        "size": sum(int(doc.get("size", 0)) for doc in docs),
-        "maxsize": sum(int(doc.get("maxsize", 0)) for doc in docs),
-        "hit_rate": (hits / lookups) if lookups else None,
-    }
+    merged = _sum_counter_maps(docs, skip="hit_rate")
+    lookups = merged.get("hits", 0) + merged.get("misses", 0)
+    return {**merged, "hit_rate": merged.get("hits", 0) / lookups if lookups else None}
 
 
 def _merge_substrate_cache(docs: Sequence[dict]) -> dict[str, object]:
@@ -276,16 +295,8 @@ def _merge_substrate_cache(docs: Sequence[dict]) -> dict[str, object]:
 def _merge_streams(docs: Sequence[dict]) -> dict[str, object]:
     """Stream counters sum; capacity sums too (each replica holds its own
     live jobs); ``tick_hz`` is a config constant so the max is reported."""
-    counters = _sum_counter_maps(
-        [
-            {k: v for k, v in doc.items() if k != "tick_hz"}
-            for doc in docs
-        ]
-    )
-    counters["tick_hz"] = max(
-        (float(doc.get("tick_hz", 0.0)) for doc in docs), default=0.0
-    )
-    return counters
+    tick_hz = max((float(doc.get("tick_hz", 0.0)) for doc in docs), default=0.0)
+    return {**_sum_counter_maps(docs, skip="tick_hz"), "tick_hz": tick_hz}
 
 
 def merge_replica_metrics(docs: Sequence[dict]) -> dict[str, object]:
@@ -313,12 +324,7 @@ def merge_replica_metrics(docs: Sequence[dict]) -> dict[str, object]:
         "response_cache": _merge_response_cache(
             [doc.get("response_cache", {}) for doc in docs]
         ),
-        "batching": {
-            "executions": sum(int(d.get("batching", {}).get("executions", 0)) for d in docs),
-            "coalesced": sum(int(d.get("batching", {}).get("coalesced", 0)) for d in docs),
-            "failures": sum(int(d.get("batching", {}).get("failures", 0)) for d in docs),
-            "in_flight": sum(int(d.get("batching", {}).get("in_flight", 0)) for d in docs),
-        },
+        "batching": _sum_counter_maps([doc.get("batching", {}) for doc in docs]),
         "substrate_cache": _merge_substrate_cache(
             [doc.get("substrate_cache", {}) for doc in docs]
         ),
@@ -409,10 +415,8 @@ class CarbonQueryRouter(Server):
         The replica inherits this process's environment, so a disk cache
         the runner exported for ``fabric --cache-dir`` is the replicas' too.
         """
-        args = ["--host", "127.0.0.1", "--port", "0"]
-        if self.config.ledger_dir:
-            args += ["--ledger-dir", self.config.ledger_dir]
-        return spawn("repro.service", [*args, *self.config.replica_args])
+        args = ["--host", "127.0.0.1", "--port", "0", *self.config.replica_args]
+        return spawn("repro.service", args)
 
     async def _start_replica(self, replica: Replica) -> None:
         """Spawn ``replica``'s process (again, after a death) and mark it healthy."""
@@ -729,17 +733,6 @@ class CarbonQueryRouter(Server):
     async def metrics_document(self) -> dict[str, object]:
         docs, _unreachable = await self._fan_out("/metrics")
         doc = merge_replica_metrics(docs)
-        if self.config.ledger_dir:
-            # The replicas share one on-disk ledger; each one's in-memory
-            # view only covers its own appends, so the router reads the
-            # directory itself for the fleet-level truth.
-            try:
-                with ledger.Ledger.open(self.config.ledger_dir) as shared:
-                    stats = shared.stats()
-                errors = doc.get("ledger", {}).get("errors", 0)
-                doc["ledger"] = {**stats, "errors": errors, "shared": True}
-            except Exception:
-                pass
         doc["router"] = self.router_payload()
         return doc
 
@@ -831,20 +824,8 @@ def add_fabric_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="do not restart managed replicas whose process died",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="K",
-        default=None,
-        help="worker processes per replica (default: the service default)",
-    )
-    parser.add_argument(
-        "--lru-size",
-        type=int,
-        metavar="N",
-        default=None,
-        help="response LRU size per replica (default: the service default)",
-    )
+    for flag, kind, metavar, text in _REPLICA_FLAGS:
+        parser.add_argument(flag, type=kind, metavar=metavar, default=None, help=text)
     parser.add_argument(
         "--replica-arg",
         action="append",
@@ -859,49 +840,15 @@ def add_fabric_flags(parser: argparse.ArgumentParser) -> None:
         help="shared substrate disk cache for all replicas "
         "(exported as SUSTAINABLE_AI_CACHE_DIR)",
     )
-    parser.add_argument(
-        "--ledger-dir",
-        metavar="DIR",
-        default=None,
-        help="shared claim-ledger directory; replicas record into one 'service' run",
-    )
-    parser.add_argument(
-        "--ledger-gc-interval",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="periodic ledger journal compaction per replica "
-        "(default: the service default — disabled)",
-    )
-    parser.add_argument(
-        "--max-streams",
-        type=int,
-        metavar="N",
-        default=None,
-        help="live /stream cap per replica (default: the service default)",
-    )
-    parser.add_argument(
-        "--stream-tick-hz",
-        type=float,
-        metavar="HZ",
-        default=None,
-        help="stream feed release rate per replica (default: the service default)",
-    )
 
 
 def router_config_from_args(args) -> RouterConfig:
     """A :class:`RouterConfig` from parsed ``add_fabric_flags`` output."""
     replica_args: list[str] = []
-    if args.workers is not None:
-        replica_args += ["--workers", str(args.workers)]
-    if args.lru_size is not None:
-        replica_args += ["--lru-size", str(args.lru_size)]
-    if args.ledger_gc_interval is not None:
-        replica_args += ["--ledger-gc-interval", str(args.ledger_gc_interval)]
-    if args.max_streams is not None:
-        replica_args += ["--max-streams", str(args.max_streams)]
-    if args.stream_tick_hz is not None:
-        replica_args += ["--stream-tick-hz", str(args.stream_tick_hz)]
+    for flag, *_ in _REPLICA_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            replica_args += [flag, str(value)]
     replica_args += list(args.replica_arg or [])
     return RouterConfig(
         **server_fields(args),
@@ -913,7 +860,6 @@ def router_config_from_args(args) -> RouterConfig:
         proxy_timeout_s=None if args.proxy_timeout <= 0 else args.proxy_timeout,
         restart_replicas=not args.no_restart,
         replica_args=tuple(replica_args),
-        ledger_dir=args.ledger_dir,
     )
 
 

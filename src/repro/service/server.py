@@ -146,11 +146,14 @@ class Server:
             await self._close()
 
     def request_shutdown(self) -> None:
-        """Begin graceful shutdown; safe to call from any thread or a signal."""
+        """Begin graceful shutdown; safe from any thread or a signal, and again."""
         loop, event = self._loop, self._stop_event
         if loop is None or event is None:
             return
-        loop.call_soon_threadsafe(event.set)
+        try:
+            loop.call_soon_threadsafe(event.set)
+        except RuntimeError:  # the loop is closed: the server has stopped
+            pass
 
     async def handle(self, request: Request) -> Response:
         """Answer one request and count it under its route's label.

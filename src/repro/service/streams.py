@@ -8,7 +8,9 @@ at the deadline).  Each distinct stream spec gets one
 :class:`StreamJob`: the memoized tick trace, a wall-clock release gate
 (``tick_hz`` ticks become visible per second), and one live
 :class:`~repro.core.incremental.IncrementalAccounting` state folded to
-the highest cursor served so far.
+the highest cursor served so far.  A new spec that finds ``max_streams``
+jobs held takes the place of one that has served its ``done: true``
+delta; only while every held job is live is it refused with ``429``.
 
 The O(Δ) contract lives here: answering the frontier cursor folds only
 the new ticks into the live state.  A *lagging* cursor (a client behind
@@ -27,6 +29,7 @@ import asyncio
 import time
 
 from repro.carbon.stream import (
+    StreamSpec,
     load_profile,
     simulate_tick_trace,
     stream_delta_payload,
@@ -48,10 +51,8 @@ _POLL_INTERVAL_S = 0.02
 class StreamJob:
     """One live stream: tick trace, release clock, frontier accounting."""
 
-    def __init__(self, query: "queries.StreamQuery", tick_hz: float) -> None:
-        self.query = query
-        self.spec = query.spec
-        self.key = query.cache_key()
+    def __init__(self, spec: StreamSpec, tick_hz: float) -> None:
+        self.spec = spec
         self.tick_hz = float(tick_hz)
         self.ticks = simulate_tick_trace(self.spec)
         self.state = IncrementalAccounting(
@@ -61,7 +62,8 @@ class StreamJob:
         )
         self.folded_seq = 0
         self.started_monotonic = time.monotonic()
-        self.deltas = 0
+        #: Whether a delta that reached the end (``done: true``) was served.
+        self.done = False
 
     @property
     def total_ticks(self) -> int:
@@ -130,16 +132,19 @@ class StreamManager:
         job = self.jobs.get(key)
         if job is None:
             if len(self.jobs) >= self.max_streams:
-                self.rejected += 1
-                return Response(
-                    429,
-                    error_body(
-                        "overloaded",
-                        f"{len(self.jobs)} live stream(s) >= max streams "
-                        f"{self.max_streams}; retry later",
-                    ),
-                )
-            job = StreamJob(query, self.tick_hz)
+                finished = next((k for k, held in self.jobs.items() if held.done), None)
+                if finished is None:
+                    self.rejected += 1
+                    return Response(
+                        429,
+                        error_body(
+                            "overloaded",
+                            f"{len(self.jobs)} live stream(s) >= max streams "
+                            f"{self.max_streams}; retry later",
+                        ),
+                    )
+                del self.jobs[finished]
+            job = StreamJob(query.spec, self.tick_hz)
             self.jobs[key] = job
             self.created += 1
         if cursor > job.total_ticks:
@@ -189,7 +194,7 @@ class StreamManager:
             self.replays += 1
             payload = stream_delta_payload(job.spec, cursor, to_seq, ticks=job.ticks)
         queries.self_check(payload, f"stream delta for {key!r}")
-        job.deltas += 1
+        job.done = job.done or to_seq == job.total_ticks
         self.deltas += 1
         self.ticks_delivered += to_seq - cursor
         if to_seq == cursor:

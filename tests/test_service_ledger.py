@@ -3,15 +3,19 @@
 Inline workers (``workers=0``) keep these fast; the service records every
 executed query as a claim bundle in the run ``"service"``, auto-imports
 the golden baselines as epoch "0", and answers ``/ledger``,
-``/ledger/diff``, and ``/ledger/trace``.
+``/ledger/diff``, and ``/ledger/trace``.  A fabric router in front of a
+shared ledger reports its replicas' ledger counters and reads no ledger.
 """
+
+import argparse
 
 import pytest
 
 from repro.core.ledger import GOLDEN_EPOCH, Ledger
 from repro.experiments.runner import main
+from repro.service.router import add_fabric_flags, router_config_from_args, start_router
 
-from tests.serviceutil import running_service
+from tests.serviceutil import ServiceClient, running_service
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +182,32 @@ class TestPersistentLedger:
         for body in bodies:
             del body["provenance"]["recorded_at"]
         assert bodies[0] == bodies[1]
+
+
+class TestSharedLedger:
+    def test_the_router_forwards_the_ledger_dir_and_never_opens_it(
+        self, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path / "shared")
+        opened = []
+        real_open = Ledger.open.__func__
+
+        def counting_open(cls, *args, **kwargs):
+            opened.append(args)
+            return real_open(cls, *args, **kwargs)
+
+        with running_service(ledger_dir=directory) as (service, _client):
+            parser = argparse.ArgumentParser()
+            add_fabric_flags(parser)
+            argv = ["--port", "0", "--backend", service.base_url, "--ledger-dir", directory]
+            config = router_config_from_args(parser.parse_args(argv))
+            assert config.replica_args == ("--ledger-dir", directory)
+            with start_router(config) as router:
+                client = ServiceClient(config.host, router.port)
+                assert client.get("/footprint?busy_device_hours=10").status == 200
+                monkeypatch.setattr(Ledger, "open", classmethod(counting_open))
+                reply = client.get("/metrics")
+                client.close()
+        assert reply.status == 200
+        assert reply.json()["ledger"]["errors"] == 0
+        assert opened == []

@@ -6,11 +6,12 @@ load with structured 429s, per-request timeouts yield structured 504s,
 injected worker crashes (via :mod:`repro.testing.faults`, the same env
 grammar the experiment runner hardens against) surface as structured
 500s for the crashed worker's own request only, SIGTERM drains in-flight
-requests before the process exits, a SIGKILLed server leaves no
-worker, port or connection behind, a payload breaking a result invariant
-is refused while the runtime self-checks are on, a fabric starts even
-when its replicas write to stderr before their banner, and the module
-entry points are the runner's ``serve`` and ``fabric`` commands.
+requests before the process exits, a stopped server may be stopped again,
+a SIGKILLed server leaves no worker, port or connection behind, a payload
+breaking a result invariant is refused while the runtime self-checks are
+on, a fabric starts even when its replicas write to stderr before their
+banner, and the module entry points are the runner's ``serve`` and
+``fabric`` commands.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from urllib.parse import parse_qsl
 
 import pytest
 
+from repro.core.ledger import Ledger
 from repro.core.series import CHECK_ENV_VAR
 from repro.errors import ServiceError
 from repro.service import queries
-from repro.service.app import ServiceConfig, add_serve_flags, config_from_args
+from repro.service.app import ServiceConfig, add_serve_flags, config_from_args, start_service
 from repro.service.queries import parse_query, render_payload
 from repro.service.loadgen import build_mix
 from repro.service.router import RouterConfig, start_router
@@ -466,6 +468,12 @@ class TestGracefulDrain:
         # because the loop has exited cleanly.
         assert not handle.thread.is_alive()
 
+    def test_a_stopped_server_may_be_stopped_again(self):
+        handle = start_service(ServiceConfig(port=0, workers=0))
+        handle.stop()
+        handle.stop()
+        assert not handle.thread.is_alive()
+
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux /proc")
 class TestKilledServer:
@@ -745,6 +753,24 @@ class TestLaunch:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
             proc.stdout.close()
+
+    def test_fabric_ledger_dir_reaches_its_replicas(self, tmp_path):
+        directory = tmp_path / "ledger"
+        proc, port = spawn(
+            "repro.service.router",
+            ["--port", "0", "--replicas", "1", "--workers", "0", "--ledger-dir", str(directory)],
+            env=_module_env(),
+        )
+        try:
+            client = ServiceClient("127.0.0.1", port)
+            reply = client.get("/experiments/fig7")
+            client.close()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            proc.stdout.close()
+        assert reply.status == 200
+        assert Ledger.open(directory).resolve("service")["fig7"].reconstruct() == reply.body
 
 
 def _module_env(**overrides):

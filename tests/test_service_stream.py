@@ -138,6 +138,17 @@ class TestAdmission:
             # The existing stream still answers.
             assert client.get(f"{SPEC_PATH}&cursor=0&wait_s=0").status == 200
 
+    def test_a_stream_read_to_its_end_frees_its_slot(self):
+        with running_service(max_streams=1, **FAST) as (_handle, client):
+            cursor, done = 0, False
+            while not done:
+                doc = client.get(f"{SPEC_PATH}&cursor={cursor}&wait_s=5").json()
+                cursor, done = doc["to_seq"], doc["done"]
+            reply = client.get("/stream?hours=48&grid_seed=2&cursor=0&wait_s=0")
+            assert reply.status == 200
+            block = client.get("/metrics").json()["streams"]
+            assert (block["active"], block["created"], block["rejected"]) == (1, 2, 0)
+
 
 class TestMetrics:
     def test_streams_block_reports_the_live_counters(self, service):
